@@ -14,17 +14,15 @@ import sys
 import threading
 from pathlib import Path
 
-from .config import MODES, PipelineConfig, parse_config
+from .config import ALL_KEYS, MODES, PipelineConfig, parse_config
 from .conflict import resolve as resolve_paths
 from .errors import (
     BackendUnavailable,
     DuplicateId,
-    FallbackExhausted,
     LogprobsUnsupported,
     ParseError,
     PipelineError,
     ScriptMiss,
-    ValidationError,
 )
 from .evaluation import (
     load_dataset,
@@ -33,17 +31,15 @@ from .evaluation import (
     write_summary_json,
     write_timings_json,
 )
-from .graph import build_graph, extract_triples, load_graph, save_graph, segment
-from .pipeline import answer_query, build_gateway, paths_from_dicts
-from .retrieval import (
-    EmbeddingCache,
-    contextualize,
-    enumerate_paths,
-    extract_key_elements,
-    score_path,
-    select_super_paths,
-    top_k_important,
+from .graph import load_graph, save_graph, write_json
+from .pipeline import (
+    QueryTrace,
+    answer_query,
+    build_gateway,
+    build_phase,
+    retrieve_phase,
 )
+from .retrieval import PATHS_SCHEMA_VERSION, load_paths
 
 log = logging.getLogger(__name__)
 
@@ -91,24 +87,14 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file or directory")
 
 
-_OVERRIDE_KEYS = [
-    "model_url", "model_id", "embed_url", "embed_model_id", "mock_script",
-    "tau", "alpha", "beta", "k_similar", "paths_k", "mode", "fallback",
-    "max_segment_tokens", "max_tokens", "logprob_top_k", "temperature",
-    "parallelism", "trace", "skip_errors",
-]
-
-
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
+    overrides = {key: getattr(args, key, None) for key in ALL_KEYS}
     return parse_config(args.config, overrides)
 
 
 def _gateway_or_exit(cfg: PipelineConfig):
     try:
         return build_gateway(cfg)
-    except ValidationError:
-        raise
     except (ParseError, OSError) as exc:
         raise _CliError(EXIT_BACKEND, f"backend setup failed: {exc}")
 
@@ -118,12 +104,6 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(EXIT_VALIDATION, f"cannot read {path}: {exc}")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def _append_trace(out_dir: Path, trace_dict: dict) -> None:
@@ -137,27 +117,17 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     if not args.out:
         raise _CliError(EXIT_VALIDATION, "build-graph requires --out GRAPH_JSON")
     content = _read_text(args.context)
+    if not content.strip():
+        raise _CliError(EXIT_VALIDATION, f"{args.context}: context is empty")
     gateway = _gateway_or_exit(cfg)
-    segments = segment(content, cfg.max_segment_tokens)
-    extractions = []
-    skipped = 0
-    for seg in segments:
-        try:
-            extractions.extend(
-                extract_triples(seg, gateway, max_tokens=cfg.max_tokens,
-                                logprob_top_k=cfg.logprob_top_k,
-                                model_id=cfg.model_id or None)
-            )
-        except ParseError as exc:
-            skipped += 1
-            log.warning("skipping segment %d: %s", seg.id, exc)
-    graph = build_graph(extractions)
+    trace = QueryTrace(mode=cfg.mode, question="")
+    graph, skipped = build_phase(content, cfg, gateway, trace)
     save_graph(graph, args.out)
     stats = graph.stats()
     print(
         f"graph: {stats['entities']} entities, {stats['relations']} relations, "
-        f"{stats['triples']} triples ({len(segments)} segments, {skipped} skipped) "
-        f"-> {args.out}"
+        f"{stats['triples']} triples ({len(trace.segments)} segments, "
+        f"{skipped} skipped) -> {args.out}"
     )
     return EXIT_OK
 
@@ -168,56 +138,24 @@ def _cmd_retrieve_paths(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_VALIDATION, "retrieve-paths requires --out PATHS_JSON")
     graph = load_graph(args.graph)
     gateway = _gateway_or_exit(cfg)
-    key = extract_key_elements(args.question, gateway,
-                               max_tokens=cfg.max_tokens,
-                               logprob_top_k=cfg.logprob_top_k,
-                               model_id=cfg.model_id or None)
-    cache = EmbeddingCache(gateway)
-    important = top_k_important(graph, key, cfg.retrieval, gateway, cache)
-    p_init = enumerate_paths(graph, important)
-    for path in p_init:
-        path.score = score_path(path, important, cfg.retrieval)
-    p_super = select_super_paths(p_init, cfg.retrieval)
-    for path in p_super:
-        contextualize(path, graph, important)
+    trace = QueryTrace(mode=cfg.mode, question=args.question)
+    p_super = retrieve_phase(args.question, graph, cfg, gateway, trace)
+    traced = trace.to_dict()
     payload = {
-        "schema_version": 1,
-        "question": args.question,
-        "key_elements": {
-            "target_entities": list(key.target_entities),
-            "target_relations": list(key.target_relations),
-            "intent": key.intent,
-        },
-        "important_entities": [list(pair) for pair in important.entities],
-        "important_relations": [list(pair) for pair in important.relations],
-        "p_init_count": len(p_init),
-        "paths": [
-            {
-                "nodes": list(p.nodes),
-                "edges": [
-                    {"relation": e.relation, "triple_index": e.triple_index,
-                     "direction": e.direction}
-                    for e in p.edges
-                ],
-                "score": p.score,
-                "rendered_context": p.rendered_context,
-            }
-            for p in p_super
-        ],
+        key: traced[key]
+        for key in ("question", "key_elements", "important_entities",
+                    "important_relations", "p_init_count")
     }
-    _write_json(args.out, payload)
-    print(f"{len(p_super)} paths (of {len(p_init)} candidates) -> {args.out}")
+    payload.update(schema_version=PATHS_SCHEMA_VERSION, paths=traced["p_super"])
+    write_json(args.out, payload)
+    print(f"{len(p_super)} paths (of {trace.p_init_count} candidates) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    raw = json.loads(_read_text(args.paths))
-    if raw.get("schema_version") != 1:
-        raise _CliError(EXIT_VALIDATION,
-                        f"paths file schema version {raw.get('schema_version')!r}")
-    p_super = paths_from_dicts(raw["paths"])
-    question = args.question or raw.get("question")
+    file_question, p_super = load_paths(args.paths)
+    question = args.question or file_question
     if not question:
         raise _CliError(EXIT_VALIDATION, "resolve needs --question (not in paths file)")
     raw_context = _read_text(args.context) if args.context else None
@@ -231,7 +169,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         "report": outcome.report.to_dict(),
     }
     if args.out:
-        _write_json(args.out, payload)
+        write_json(args.out, payload)
     print(outcome.response)
     return EXIT_OK
 
@@ -330,9 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     except (BackendUnavailable, LogprobsUnsupported, ScriptMiss, ParseError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (ValidationError, FallbackExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

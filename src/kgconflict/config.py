@@ -6,10 +6,10 @@ a comment line, values may be quoted. Every key has a CLI flag twin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .conflict import FALLBACK_RAW_CONTEXT, FALLBACK_TOP_DELTA, ResolutionConfig
+from .conflict import FALLBACK_TOP_DELTA, ResolutionConfig
 from .errors import ValidationError
 from .retrieval import RetrievalConfig
 
@@ -55,16 +55,7 @@ class PipelineConfig:
             raise ValidationError(
                 f"mode: {self.mode!r} is not one of {', '.join(MODES)}"
             )
-        if self.fallback not in (FALLBACK_TOP_DELTA, FALLBACK_RAW_CONTEXT):
-            raise ValidationError(f"fallback: unknown value {self.fallback!r}")
-        if self.temperature < 0:
-            raise ValidationError(f"temperature: must be >= 0, got {self.temperature}")
-        if self.max_tokens < 1:
-            raise ValidationError(f"max_tokens: must be >= 1, got {self.max_tokens}")
-        if self.logprob_top_k < 1:
-            raise ValidationError(
-                f"logprob_top_k: must be >= 1, got {self.logprob_top_k}"
-            )
+        self.resolution().validate()
         if self.max_segment_tokens < 1:
             raise ValidationError(
                 f"max_segment_tokens: must be >= 1, got {self.max_segment_tokens}"
@@ -182,9 +173,3 @@ def parse_config(
             raise ValidationError(f"override: unknown key {key!r}")
         values[key] = value
     return _build(values)
-
-
-def with_mode(cfg: PipelineConfig, mode: str) -> PipelineConfig:
-    out = replace(cfg, mode=mode)
-    out.validate()
-    return out

@@ -9,6 +9,7 @@ context for the final answer.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
@@ -16,7 +17,7 @@ from typing import Sequence, TypeVar
 import numpy as np
 
 from .errors import EmptySequence, FallbackExhausted, ValidationError
-from .gateway import GenerationRequest, ModelGateway, TokenLogprobs
+from .gateway import GenerationRequest, GenerationResult, ModelGateway, TokenLogprobs
 from .prompts import ANSWER_AUGMENTED, ANSWER_PARAMETRIC, render
 from .retrieval import ReasoningPath
 
@@ -42,16 +43,25 @@ class ResolutionConfig:
     model_id: str | None = None
 
     def validate(self) -> None:
+        if not math.isfinite(self.tau):
+            raise ValidationError(f"resolution.tau: must be finite, got {self.tau}")
         if self.fallback not in (FALLBACK_TOP_DELTA, FALLBACK_RAW_CONTEXT):
             raise ValidationError(
                 f"resolution.fallback: unknown value {self.fallback!r}"
             )
         if self.logprob_top_k < 1:
-            raise ValidationError("resolution.logprob_top_k: must be >= 1")
+            raise ValidationError(
+                f"resolution.logprob_top_k: must be >= 1, got {self.logprob_top_k}"
+            )
         if self.max_tokens < 1:
-            raise ValidationError("resolution.max_tokens: must be >= 1")
-        if self.temperature < 0:
-            raise ValidationError("resolution.temperature: must be >= 0")
+            raise ValidationError(
+                f"resolution.max_tokens: must be >= 1, got {self.max_tokens}"
+            )
+        if not 0 <= self.temperature < math.inf:
+            raise ValidationError(
+                "resolution.temperature: must be finite and >= 0, "
+                f"got {self.temperature}"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,24 +104,6 @@ class EntropyReport:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EntropyReport":
-        return cls(
-            h_param=data["h_param"],
-            tau=data["tau"],
-            parametric_answer=data["parametric_answer"],
-            augmented_answers=list(data["augmented_answers"]),
-            per_path=[
-                PathEntropy(
-                    index=p["index"],
-                    h_aug=p["h_aug"],
-                    delta_h=p["delta_h"],
-                    corrective=p["corrective"],
-                )
-                for p in data["per_path"]
-            ],
-        )
-
 
 @dataclass
 class ResolutionOutcome:
@@ -143,10 +135,14 @@ def mean_token_entropy(tokens: TokenLogprobs) -> float:
     return float(np.mean(per_position))
 
 
-def _answer(
-    prompt: str, gateway: ModelGateway, cfg: ResolutionConfig
-) -> tuple[str, float]:
-    result = gateway.generate(
+def _generate(
+    query: str, context: str | None, gateway: ModelGateway, cfg: ResolutionConfig
+) -> GenerationResult:
+    if context is None:
+        prompt = render(ANSWER_PARAMETRIC, question=query)
+    else:
+        prompt = render(ANSWER_AUGMENTED, context=context, question=query)
+    return gateway.generate(
         GenerationRequest(
             prompt=prompt,
             temperature=cfg.temperature,
@@ -155,6 +151,19 @@ def _answer(
             model_id=cfg.model_id,
         )
     )
+
+
+def plain_answer(
+    query: str, context: str | None, gateway: ModelGateway, cfg: ResolutionConfig
+) -> str:
+    """Answer from parametric knowledge (context None) or the context, no entropy."""
+    return _generate(query, context, gateway, cfg).text
+
+
+def _answer(
+    query: str, context: str | None, gateway: ModelGateway, cfg: ResolutionConfig
+) -> tuple[str, float]:
+    result = _generate(query, context, gateway, cfg)
     return result.text, mean_token_entropy(result.tokens)
 
 
@@ -166,7 +175,7 @@ def parametric_baseline(
     The prompt asks for a bare answer, so the generated span is the answer
     and the entropy is computed over exactly those tokens.
     """
-    return _answer(render(ANSWER_PARAMETRIC, question=query), gateway, cfg)
+    return _answer(query, None, gateway, cfg)
 
 
 def augmented_entropy(
@@ -175,14 +184,7 @@ def augmented_entropy(
     """Answer conditioned on one rendered path; returns (answer, entropy)."""
     if path.rendered_context is None:
         raise ValidationError("augmented_entropy: path has no rendered context")
-    return _context_entropy(query, path.rendered_context, gateway, cfg)
-
-
-def _context_entropy(
-    query: str, context: str, gateway: ModelGateway, cfg: ResolutionConfig
-) -> tuple[str, float]:
-    prompt = render(ANSWER_AUGMENTED, context=context, question=query)
-    return _answer(prompt, gateway, cfg)
+    return _answer(query, path.rendered_context, gateway, cfg)
 
 
 def filter_corrective(
@@ -220,17 +222,18 @@ def entropy_filtered_response(
     if parallelism > 1 and len(contexts) > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             measured = list(
-                pool.map(lambda c: _context_entropy(query, c, gateway, cfg), contexts)
+                pool.map(lambda c: _answer(query, c, gateway, cfg), contexts)
             )
     else:
-        measured = [_context_entropy(query, c, gateway, cfg) for c in contexts]
+        measured = [_answer(query, c, gateway, cfg) for c in contexts]
 
-    per_path = []
-    for i, (_ans, h_aug) in enumerate(measured):
-        delta = h_aug - h_param
-        per_path.append(
-            PathEntropy(index=i, h_aug=h_aug, delta_h=delta, corrective=delta > cfg.tau)
-        )
+    deltas = [h_aug - h_param for _ans, h_aug in measured]
+    corrective = filter_corrective(range(len(measured)), deltas, cfg.tau)
+    chosen = set(corrective)
+    per_path = [
+        PathEntropy(index=i, h_aug=h_aug, delta_h=deltas[i], corrective=i in chosen)
+        for i, (_ans, h_aug) in enumerate(measured)
+    ]
     report = EntropyReport(
         h_param=h_param,
         per_path=per_path,
@@ -239,7 +242,6 @@ def entropy_filtered_response(
         augmented_answers=[ans for ans, _ in measured],
     )
 
-    corrective = report.corrective_indexes()
     if corrective:
         final_context = CONTEXT_DELIMITER.join(contexts[i] for i in corrective)
         fallback_used = FALLBACK_NONE
@@ -266,7 +268,7 @@ def entropy_filtered_response(
                 "no corrective paths, no candidate paths, and no raw context"
             )
 
-    response, _h = _context_entropy(query, final_context, gateway, cfg)
+    response, _h = _answer(query, final_context, gateway, cfg)
     return response, report, fallback_used, final_context, corrective
 
 

@@ -27,7 +27,7 @@ from .errors import (
     PipelineError,
 )
 from .gateway import ModelGateway, TokenLogprobs
-from .graph import _SENTENCE_BOUNDARY
+from .graph import _SENTENCE_BOUNDARY, write_json
 from .pipeline import QueryTrace, answer_query, build_gateway
 
 log = logging.getLogger(__name__)
@@ -355,18 +355,12 @@ def summary_dict(result: EvalResult) -> dict:
 
 def write_summary_json(result: EvalResult, path: str | Path) -> None:
     """Aggregate summary (deterministic fields only)."""
-    Path(path).write_text(
-        json.dumps(summary_dict(result), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, summary_dict(result))
 
 
 def write_timings_json(result: EvalResult, path: str | Path) -> None:
     """Wall-clock counters; kept out of the deterministic artifacts."""
-    payload = {
+    write_json(path, {
         "mean_wall_time": result.mean_wall_time,
         "per_record": {r.record_id: r.wall_time for r in result.rows},
-    }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    })

@@ -209,10 +209,6 @@ class MockGateway:
         self.model_id = model_id
         self.embed_model_id = embed_model_id
 
-    @property
-    def embedding_dim(self) -> int:
-        return self._dim
-
     def generate(self, req: GenerationRequest) -> GenerationResult:
         for entry in self._generate_entries:
             if entry.matches(req.prompt):

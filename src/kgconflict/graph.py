@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -220,34 +220,20 @@ def segment(content: str, max_segment_tokens: int = 256) -> list[Segment]:
         else:
             pieces.append(span)
 
-    segments: list[Segment] = []
-    current: tuple[int, int] | None = None
-    current_tokens = 0
+    packed: list[tuple[int, int]] = []
+    packed_tokens = 0
     for span in pieces:
         tokens = len(content[span[0] : span[1]].split())
-        if current is not None and current_tokens + tokens < max_segment_tokens:
-            current = (current[0], span[1])
-            current_tokens += tokens
+        if packed and packed_tokens + tokens < max_segment_tokens:
+            packed[-1] = (packed[-1][0], span[1])
+            packed_tokens += tokens
         else:
-            if current is not None:
-                segments.append(
-                    Segment(
-                        id=len(segments),
-                        text=content[current[0] : current[1]],
-                        char_range=current,
-                    )
-                )
-            current = span
-            current_tokens = tokens
-    if current is not None:
-        segments.append(
-            Segment(
-                id=len(segments),
-                text=content[current[0] : current[1]],
-                char_range=current,
-            )
-        )
-    return segments
+            packed.append(span)
+            packed_tokens = tokens
+    return [
+        Segment(id=i, text=content[start:end], char_range=(start, end))
+        for i, (start, end) in enumerate(packed)
+    ]
 
 
 def _strip_code_fences(text: str) -> str:
@@ -327,31 +313,20 @@ def extract_triples(
     failure raises ExtractionParseError, which callers treat as "skip this
     segment".
     """
-    prompt = render(EXTRACT_TRIPLES, segment=seg.text)
-    result = gateway.generate(
-        GenerationRequest(
-            prompt=prompt,
-            temperature=0.0,
-            max_tokens=max_tokens,
-            logprob_top_k=logprob_top_k,
-            model_id=model_id,
-        )
+    request = GenerationRequest(
+        prompt=render(EXTRACT_TRIPLES, segment=seg.text),
+        temperature=0.0,
+        max_tokens=max_tokens,
+        logprob_top_k=logprob_top_k,
+        model_id=model_id,
     )
     try:
-        return _parse_extraction_response(result.text, seg)
+        return _parse_extraction_response(gateway.generate(request).text, seg)
     except ExtractionParseError as first_error:
         log.warning("segment %d: retrying extraction after parse failure: %s",
                     seg.id, first_error)
-        repair = gateway.generate(
-            GenerationRequest(
-                prompt=prompt + "\n\n" + REPAIR_NOTE,
-                temperature=0.0,
-                max_tokens=max_tokens,
-                logprob_top_k=logprob_top_k,
-                model_id=model_id,
-            )
-        )
-        return _parse_extraction_response(repair.text, seg)
+        repair = replace(request, prompt=request.prompt + "\n\n" + REPAIR_NOTE)
+        return _parse_extraction_response(gateway.generate(repair).text, seg)
 
 
 class _AttributeAccumulator:
@@ -429,6 +404,16 @@ def build_graph(extracted: Iterable[TripleExtraction]) -> KnowledgeGraph:
     return graph
 
 
+def triple_to_dict(triple: Triple) -> dict:
+    return {
+        "head": triple.head,
+        "relation": triple.relation,
+        "tail": triple.tail,
+        "source_segment": triple.source_segment,
+        "evidence": triple.evidence,
+    }
+
+
 def graph_to_dict(graph: KnowledgeGraph) -> dict:
     return {
         "schema_version": GRAPH_SCHEMA_VERSION,
@@ -451,16 +436,7 @@ def graph_to_dict(graph: KnowledgeGraph) -> dict:
             }
             for r in sorted(graph.relations.values(), key=lambda r: r.id)
         ],
-        "triples": [
-            {
-                "head": t.head,
-                "relation": t.relation,
-                "tail": t.tail,
-                "source_segment": t.source_segment,
-                "evidence": t.evidence,
-            }
-            for t in graph.triples
-        ],
+        "triples": [triple_to_dict(t) for t in graph.triples],
     }
 
 
@@ -470,48 +446,65 @@ def graph_from_dict(data: dict) -> KnowledgeGraph:
         raise SchemaVersionMismatch(
             f"graph schema version {version!r}, expected {GRAPH_SCHEMA_VERSION}"
         )
-    entities = {
-        raw["id"]: Entity(
-            id=raw["id"],
-            name=raw["name"],
-            surface_forms=tuple(raw["surface_forms"]),
-            description=raw["description"],
-            source_segments=frozenset(raw["source_segments"]),
-        )
-        for raw in data["entities"]
-    }
-    relations = {
-        raw["id"]: Relation(
-            id=raw["id"],
-            name=raw["name"],
-            description=raw["description"],
-            source_segments=frozenset(raw["source_segments"]),
-        )
-        for raw in data["relations"]
-    }
-    triples = [
-        Triple(
-            head=raw["head"],
-            relation=raw["relation"],
-            tail=raw["tail"],
-            source_segment=raw["source_segment"],
-            evidence=raw["evidence"],
-        )
-        for raw in data["triples"]
-    ]
-    graph = KnowledgeGraph(entities=entities, relations=relations, triples=triples)
-    graph.validate()
+    try:
+        entities = {
+            raw["id"]: Entity(
+                id=raw["id"],
+                name=raw["name"],
+                surface_forms=tuple(raw["surface_forms"]),
+                description=raw["description"],
+                source_segments=frozenset(raw["source_segments"]),
+            )
+            for raw in data["entities"]
+        }
+        relations = {
+            raw["id"]: Relation(
+                id=raw["id"],
+                name=raw["name"],
+                description=raw["description"],
+                source_segments=frozenset(raw["source_segments"]),
+            )
+            for raw in data["relations"]
+        }
+        triples = [
+            Triple(
+                head=raw["head"],
+                relation=raw["relation"],
+                tail=raw["tail"],
+                source_segment=raw["source_segment"],
+                evidence=raw["evidence"],
+            )
+            for raw in data["triples"]
+        ]
+        graph = KnowledgeGraph(entities=entities, relations=relations, triples=triples)
+        graph.validate()
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed graph document: {exc!r}") from None
     return graph
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write one JSON document with stable key order and a trailing newline."""
+    Path(path).write_text(
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
 
 
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     """Persist the graph as a single JSON document with stable key order."""
-    Path(path).write_text(
-        json.dumps(graph_to_dict(graph), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, graph_to_dict(graph))
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file that must hold one object; any failure is a ValidationError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} file {path}: expected a JSON object")
+    return data
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return graph_from_dict(data)
+    return graph_from_dict(read_json_object(path, "graph"))

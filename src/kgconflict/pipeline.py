@@ -17,22 +17,31 @@ from .conflict import (
     EntropyReport,
     ResolutionOutcome,
     entropy_filtered_response,
+    plain_answer,
     resolve,
 )
 from .config import PipelineConfig
 from .errors import ExtractionParseError, FallbackExhausted, ValidationError
-from .gateway import GenerationRequest, ModelGateway, load_mock_script
-from .graph import KnowledgeGraph, Segment, Triple, build_graph, extract_triples, segment
+from .gateway import ModelGateway, load_mock_script
+from .graph import (
+    KnowledgeGraph,
+    Segment,
+    Triple,
+    build_graph,
+    extract_triples,
+    segment,
+    triple_to_dict,
+)
 from .http_gateway import HttpGateway
-from .prompts import ANSWER_AUGMENTED, ANSWER_PARAMETRIC, render
 from .retrieval import (
     EmbeddingCache,
-    PathEdge,
     QueryKeyElements,
     ReasoningPath,
     contextualize,
     enumerate_paths,
     extract_key_elements,
+    key_elements_to_dict,
+    path_to_dict,
     score_path,
     select_super_paths,
     top_k_important,
@@ -69,71 +78,21 @@ class QueryTrace:
                 {"id": s.id, "text": s.text, "char_range": list(s.char_range)}
                 for s in self.segments
             ],
-            "triples": [
-                {
-                    "head": t.head,
-                    "relation": t.relation,
-                    "tail": t.tail,
-                    "source_segment": t.source_segment,
-                    "evidence": t.evidence,
-                }
-                for t in self.triples
-            ],
+            "triples": [triple_to_dict(t) for t in self.triples],
             "graph_stats": dict(self.graph_stats),
             "key_elements": None
             if self.key_elements is None
-            else {
-                "target_entities": list(self.key_elements.target_entities),
-                "target_relations": list(self.key_elements.target_relations),
-                "intent": self.key_elements.intent,
-            },
+            else key_elements_to_dict(self.key_elements),
             "important_entities": [list(pair) for pair in self.important_entities],
             "important_relations": [list(pair) for pair in self.important_relations],
             "p_init_count": self.p_init_count,
-            "p_super": [
-                {
-                    "nodes": list(p.nodes),
-                    "edges": [
-                        {
-                            "relation": e.relation,
-                            "triple_index": e.triple_index,
-                            "direction": e.direction,
-                        }
-                        for e in p.edges
-                    ],
-                    "score": p.score,
-                    "rendered_context": p.rendered_context,
-                }
-                for p in self.p_super
-            ],
+            "p_super": [path_to_dict(p) for p in self.p_super],
             "report": None if self.report is None else self.report.to_dict(),
             "response": self.response,
             "final_context": self.final_context,
             "fallback_used": self.fallback_used,
             "timings": dict(self.timings),
         }
-
-
-def paths_from_dicts(raw_paths: list[dict]) -> list[ReasoningPath]:
-    """Rebuild ReasoningPath objects from their trace/JSON form."""
-    out = []
-    for raw in raw_paths:
-        out.append(
-            ReasoningPath(
-                nodes=tuple(raw["nodes"]),
-                edges=tuple(
-                    PathEdge(
-                        relation=e["relation"],
-                        triple_index=e["triple_index"],
-                        direction=e["direction"],
-                    )
-                    for e in raw["edges"]
-                ),
-                score=raw.get("score", 0.0),
-                rendered_context=raw.get("rendered_context"),
-            )
-        )
-    return out
 
 
 def build_gateway(cfg: PipelineConfig) -> ModelGateway:
@@ -150,29 +109,17 @@ def build_gateway(cfg: PipelineConfig) -> ModelGateway:
     raise ValidationError("no backend configured: set mock_script or model_url")
 
 
-def _direct_answer(question: str, gateway: ModelGateway, cfg: PipelineConfig,
-                   context: str | None) -> str:
-    if context is None:
-        prompt = render(ANSWER_PARAMETRIC, question=question)
-    else:
-        prompt = render(ANSWER_AUGMENTED, context=context, question=question)
-    result = gateway.generate(
-        GenerationRequest(
-            prompt=prompt,
-            temperature=cfg.temperature,
-            max_tokens=cfg.max_tokens,
-            logprob_top_k=cfg.logprob_top_k,
-            model_id=cfg.model_id or None,
-        )
-    )
-    return result.text
+def build_phase(context: str, cfg: PipelineConfig, gateway: ModelGateway,
+                trace: QueryTrace) -> tuple[KnowledgeGraph, int]:
+    """Segment, extract and build; returns the graph and the skipped-segment count.
 
-
-def _build_phase(context: str, cfg: PipelineConfig,
-                 gateway: ModelGateway, trace: QueryTrace) -> KnowledgeGraph:
+    A segment whose extraction still fails after the repair retry is
+    skipped. Segments, triples and graph stats are recorded on the trace.
+    """
     if context.strip():
         trace.segments = segment(context, cfg.max_segment_tokens)
     extractions = []
+    skipped = 0
     for seg in trace.segments:
         try:
             extractions.extend(
@@ -185,15 +132,21 @@ def _build_phase(context: str, cfg: PipelineConfig,
                 )
             )
         except ExtractionParseError as exc:
+            skipped += 1
             log.warning("skipping segment %d: %s", seg.id, exc)
     graph = build_graph(extractions)
     trace.triples = list(graph.triples)
     trace.graph_stats = graph.stats()
-    return graph
+    return graph, skipped
 
 
-def _retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
-                    gateway: ModelGateway, trace: QueryTrace) -> list[ReasoningPath]:
+def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
+                   gateway: ModelGateway, trace: QueryTrace) -> list[ReasoningPath]:
+    """Key elements, rank, enumerate, score, select and render the paths.
+
+    An empty graph yields no paths and makes no model call. Every decision
+    is recorded on the trace.
+    """
     if graph.is_empty():
         return []
     key = extract_key_elements(
@@ -237,29 +190,28 @@ def answer_query(
     gateway = gateway or build_gateway(cfg)
     trace = QueryTrace(mode=cfg.mode, question=question)
 
+    resolution = cfg.resolution()
+    raw = context if context.strip() else None
     t0 = time.perf_counter()
     if cfg.mode == "no_rag":
         t1 = t2 = time.perf_counter()
-        trace.response = _direct_answer(question, gateway, cfg, context=None)
-        t3 = time.perf_counter()
+        trace.response = plain_answer(question, None, gateway, resolution)
     elif cfg.mode == "standard_rag":
         t1 = t2 = time.perf_counter()
-        if not context.strip():
+        if raw is None:
             raise FallbackExhausted("standard_rag: no context to answer from")
-        trace.final_context = context
-        trace.response = _direct_answer(question, gateway, cfg, context=context)
-        t3 = time.perf_counter()
+        trace.final_context = raw
+        trace.response = plain_answer(question, raw, gateway, resolution)
     elif cfg.mode == "no_kg":
-        chunks = segment(context, cfg.max_segment_tokens) if context.strip() else []
-        trace.segments = chunks
+        trace.segments = segment(raw, cfg.max_segment_tokens) if raw else []
         t1 = t2 = time.perf_counter()
         response, report, fallback_used, final_context, _idx = (
             entropy_filtered_response(
                 question,
-                [c.text for c in chunks],
+                [c.text for c in trace.segments],
                 gateway,
-                cfg.resolution(),
-                raw_context=context if context.strip() else None,
+                resolution,
+                raw_context=raw,
                 parallelism=cfg.parallelism,
             )
         )
@@ -267,13 +219,11 @@ def answer_query(
         trace.report = report
         trace.fallback_used = fallback_used
         trace.final_context = final_context
-        t3 = time.perf_counter()
     else:  # full or no_conflict
-        graph = _build_phase(context, cfg, gateway, trace)
+        graph, _skipped = build_phase(context, cfg, gateway, trace)
         t1 = time.perf_counter()
-        p_super = _retrieve_phase(question, graph, cfg, gateway, trace)
+        p_super = retrieve_phase(question, graph, cfg, gateway, trace)
         t2 = time.perf_counter()
-        raw = context if context.strip() else None
         if cfg.mode == "no_conflict":
             if p_super:
                 trace.final_context = CONTEXT_DELIMITER.join(
@@ -285,15 +235,15 @@ def answer_query(
                 trace.fallback_used = "raw_context"
             else:
                 raise FallbackExhausted("no_conflict: no paths and no raw context")
-            trace.response = _direct_answer(
-                question, gateway, cfg, context=trace.final_context
+            trace.response = plain_answer(
+                question, trace.final_context, gateway, resolution
             )
         else:
             outcome: ResolutionOutcome = resolve(
                 question,
                 p_super,
                 gateway,
-                cfg.resolution(),
+                resolution,
                 raw_context=raw,
                 parallelism=cfg.parallelism,
             )
@@ -301,7 +251,7 @@ def answer_query(
             trace.report = outcome.report
             trace.fallback_used = outcome.fallback_used
             trace.final_context = outcome.final_context
-        t3 = time.perf_counter()
+    t3 = time.perf_counter()
 
     trace.timings = {
         "phase1_construction": t1 - t0,

@@ -10,17 +10,26 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DanglingReference, EmptyInput, ValidationError
+from .errors import (
+    DanglingReference,
+    EmptyInput,
+    SchemaVersionMismatch,
+    ValidationError,
+)
 from .gateway import GenerationRequest, ModelGateway
-from .graph import KnowledgeGraph, _strip_code_fences
+from .graph import KnowledgeGraph, _strip_code_fences, read_json_object
 from .prompts import KEY_ELEMENTS, render
 
 log = logging.getLogger(__name__)
+
+PATHS_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,14 @@ class QueryKeyElements:
         return list(seen)
 
 
+def key_elements_to_dict(key: QueryKeyElements) -> dict:
+    return {
+        "target_entities": list(key.target_entities),
+        "target_relations": list(key.target_relations),
+        "intent": key.intent,
+    }
+
+
 @dataclass(frozen=True)
 class RetrievalConfig:
     alpha: float = 0.5
@@ -54,10 +71,14 @@ class RetrievalConfig:
     paths_k: int = 10
 
     def validate(self) -> None:
-        if self.alpha < 0:
-            raise ValidationError(f"retrieval.alpha: must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValidationError(f"retrieval.beta: must be >= 0, got {self.beta}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValidationError(
+                f"retrieval.alpha: must be finite and >= 0, got {self.alpha}"
+            )
+        if not 0 <= self.beta < math.inf:
+            raise ValidationError(
+                f"retrieval.beta: must be finite and >= 0, got {self.beta}"
+            )
         if self.alpha + self.beta <= 0:
             raise ValidationError("retrieval.alpha+beta: must be > 0")
         if self.k_similar < 1:
@@ -125,6 +146,64 @@ class ReasoningPath:
                 raise ValidationError(f"path edge {i}: does not connect its nodes")
             if triple.relation != edge.relation:
                 raise ValidationError(f"path edge {i}: relation id mismatch")
+
+
+def path_to_dict(path: ReasoningPath) -> dict:
+    return {
+        "nodes": list(path.nodes),
+        "edges": [
+            {
+                "relation": e.relation,
+                "triple_index": e.triple_index,
+                "direction": e.direction,
+            }
+            for e in path.edges
+        ],
+        "score": path.score,
+        "rendered_context": path.rendered_context,
+    }
+
+
+def path_from_dict(data: dict) -> ReasoningPath:
+    """Rebuild a path from ``path_to_dict`` output; bad shapes raise ValidationError."""
+    try:
+        return ReasoningPath(
+            nodes=tuple(data["nodes"]),
+            edges=tuple(
+                PathEdge(
+                    relation=e["relation"],
+                    triple_index=e["triple_index"],
+                    direction=e["direction"],
+                )
+                for e in data["edges"]
+            ),
+            score=data.get("score", 0.0),
+            rendered_context=data.get("rendered_context"),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed path entry: {exc!r}") from None
+
+
+def load_paths(path: str | Path) -> tuple[str | None, list[ReasoningPath]]:
+    """Read a paths file written by ``retrieve-paths``: (question, paths).
+
+    The question is None when the file has none. A file that is not a
+    paths document of a known schema version raises ValidationError or
+    SchemaVersionMismatch.
+    """
+    data = read_json_object(path, "paths")
+    version = data.get("schema_version")
+    if version != PATHS_SCHEMA_VERSION:
+        raise SchemaVersionMismatch(
+            f"paths schema version {version!r}, expected {PATHS_SCHEMA_VERSION}"
+        )
+    question = data.get("question")
+    raw_paths = data.get("paths")
+    if not isinstance(raw_paths, list):
+        raise ValidationError(f"{path}: 'paths' must be a list")
+    if question is not None and not isinstance(question, str):
+        raise ValidationError(f"{path}: 'question' must be a string")
+    return question, [path_from_dict(raw) for raw in raw_paths]
 
 
 class EmbeddingCache:

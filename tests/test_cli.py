@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 import fixtures
 
+from kgconflict import (
+    ParseError,
+    PipelineConfig,
+    answer_query,
+    build_graph,
+    save_graph,
+)
+from kgconflict import cli
 from kgconflict.cli import main
+from kgconflict.config import ALL_KEYS
 
 
 @pytest.fixture
@@ -175,17 +185,27 @@ def test_config_file_with_cli_override(replay_cli_files, capsys, tmp_path):
     assert summary["accuracy"] == 1.0
 
 
-def test_exit_code_validation_error(replay_cli_files, capsys):
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--alpha", "-2", id="alpha-negative"),
+    pytest.param("--alpha", "inf", id="alpha-inf"),
+    pytest.param("--beta", "-inf", id="beta-minus-inf"),
+    pytest.param("--beta", "nan", id="beta-nan"),
+    pytest.param("--tau", "nan", id="tau-nan"),
+    pytest.param("--tau", "inf", id="tau-inf"),
+    pytest.param("--temperature", "nan", id="temperature-nan"),
+    pytest.param("--temperature", "inf", id="temperature-inf"),
+])
+def test_exit_code_validation_error(replay_cli_files, capsys, flag, value):
     code = main([
         "answer",
         "--mock-script", replay_cli_files["script"],
         "--question", "q?",
         "--context", replay_cli_files["context"],
         "--tau", "1",
-        "--alpha", "-2",
+        flag, value,
     ])
     assert code == 1
-    assert "alpha" in capsys.readouterr().err
+    assert flag.lstrip("-") in capsys.readouterr().err
 
 
 def test_exit_code_usage_error_is_one(capsys):
@@ -273,3 +293,155 @@ def test_eval_trace_writes_jsonl(replay_cli_files, capsys):
     lines = (out_dir / "trace.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["mode"] == "full"
+
+
+def _build_replay_graph(files, graph_out, *extra):
+    return main([
+        "build-graph",
+        "--mock-script", files["script"],
+        "--context", files["context"],
+        "--out", str(graph_out),
+        *extra,
+    ])
+
+
+def test_retrieve_paths_writes_the_pipeline_trace_paths(replay_cli_files):
+    graph_out = replay_cli_files["tmp"] / "graph.json"
+    paths_out = replay_cli_files["tmp"] / "paths.json"
+    assert _build_replay_graph(replay_cli_files, graph_out) == 0
+    assert main([
+        "retrieve-paths",
+        "--mock-script", replay_cli_files["script"],
+        "--graph", str(graph_out),
+        "--question", fixtures.REPLAY_QUESTION,
+        "--out", str(paths_out),
+    ]) == 0
+    payload = json.loads(paths_out.read_text(encoding="utf-8"))
+    cfg = PipelineConfig(mock_script=replay_cli_files["script"])
+    _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg)
+    traced = json.loads(json.dumps(trace.to_dict()))
+    assert payload["paths"] == traced["p_super"]
+    for key in ("key_elements", "important_entities", "important_relations",
+                "p_init_count"):
+        assert payload[key] == traced[key]
+
+
+def test_unreadable_segment_is_skipped_by_pipeline_and_cli(replay_cli_files,
+                                                           tmp_path, capsys):
+    # Both the extraction reply and its repair retry for the second segment
+    # are not JSON, so that segment is skipped and the graph comes from the
+    # first one.
+    script = fixtures.write_script(tmp_path / "skip.jsonl", [
+        fixtures.gen_entry(r"Extract factual knowledge triples[\s\S]*Zzyzx",
+                           "not json", fixtures.one_token("not json"), regex=True),
+        *fixtures.replay_script_entries(),
+    ])
+    context = fixtures.REPLAY_CONTEXT + " Zzyzx is a word no extractor can read."
+    context_path = tmp_path / "skip.txt"
+    context_path.write_text(context, encoding="utf-8")
+
+    cfg = PipelineConfig(mock_script=str(script), max_segment_tokens=60)
+    response, trace = answer_query(fixtures.REPLAY_QUESTION, context, cfg)
+    assert len(trace.segments) == 2
+    assert trace.graph_stats["triples"] == 6
+    assert fixtures.REPLAY_GOLD in response
+
+    code = main([
+        "build-graph",
+        "--mock-script", str(script),
+        "--context", str(context_path),
+        "--max-segment-tokens", "60",
+        "--out", str(tmp_path / "graph.json"),
+    ])
+    assert code == 0
+    assert "6 triples (2 segments, 1 skipped)" in capsys.readouterr().out
+
+
+def test_build_graph_blank_context_exits_one(replay_cli_files, tmp_path, capsys):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("  \n\t ", encoding="utf-8")
+    code = main([
+        "build-graph",
+        "--mock-script", replay_cli_files["script"],
+        "--context", str(blank),
+        "--out", str(tmp_path / "graph.json"),
+    ])
+    assert code == 1
+    assert "empty" in capsys.readouterr().err
+
+
+class _ProtocolErrorGateway:
+    """A backend whose every reply violates the wire protocol."""
+
+    def generate(self, req):
+        raise ParseError("backend reply is not an object")
+
+    def embed(self, texts):
+        raise ParseError("backend reply is not an object")
+
+
+def test_build_graph_backend_parse_error_exits_two(replay_cli_files, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(cli, "build_gateway", lambda cfg: _ProtocolErrorGateway())
+    code = _build_replay_graph(replay_cli_files, replay_cli_files["tmp"] / "g.json")
+    assert code == 2
+    assert "backend error" in capsys.readouterr().err
+
+
+def test_retrieve_paths_on_empty_graph_makes_no_model_call(tmp_path):
+    graph_out = tmp_path / "empty_graph.json"
+    save_graph(build_graph([]), graph_out)
+    # An empty script misses on any call, so a key-elements call would fail.
+    empty = fixtures.write_script(tmp_path / "empty.jsonl", [])
+    paths_out = tmp_path / "paths.json"
+    code = main([
+        "retrieve-paths",
+        "--mock-script", str(empty),
+        "--graph", str(graph_out),
+        "--question", "q?",
+        "--out", str(paths_out),
+    ])
+    assert code == 0
+    payload = json.loads(paths_out.read_text(encoding="utf-8"))
+    assert payload["key_elements"] is None
+    assert payload["paths"] == []
+    assert payload["p_init_count"] == 0
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param("[]", id="array"),
+    pytest.param("{not json", id="bad-json"),
+    pytest.param('{"schema_version": 1}', id="missing-keys"),
+])
+@pytest.mark.parametrize("subcommand, flag", [
+    pytest.param("retrieve-paths", "--graph", id="graph"),
+    pytest.param("resolve", "--paths", id="paths"),
+])
+def test_malformed_graph_or_paths_file_exits_one(replay_cli_files, capsys,
+                                                 content, subcommand, flag):
+    bad = replay_cli_files["tmp"] / "bad.json"
+    bad.write_text(content, encoding="utf-8")
+    code = main([
+        subcommand,
+        "--mock-script", replay_cli_files["script"],
+        flag, str(bad),
+        "--question", "q?",
+        "--out", str(replay_cli_files["tmp"] / "out.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_config_flags_match_config_keys():
+    """Every config key has a flag on every subcommand, and nothing more."""
+    parser = cli.make_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    common = set.intersection(*(
+        {action.dest for action in sub._actions}
+        for sub in subparsers.choices.values()
+    ))
+    assert common - {"help", "config", "out"} == ALL_KEYS

@@ -13,7 +13,6 @@ import fixtures
 
 from kgconflict import (
     EmptySequence,
-    EntropyReport,
     FallbackExhausted,
     ReasoningPath,
     ResolutionConfig,
@@ -390,8 +389,12 @@ def test_resolve_parallel_equals_serial(tmp_path):
 def test_entropy_report_round_trips_via_dict(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([True, False]))
     outcome = resolve("q?", _paths(2), gw, ResolutionConfig(tau=1.0))
-    report = EntropyReport.from_dict(outcome.report.to_dict())
-    assert report == outcome.report
+    report = outcome.report
+    assert report.to_dict()["per_path"] == [
+        {"index": p.index, "h_aug": p.h_aug, "delta_h": p.delta_h,
+         "corrective": p.corrective}
+        for p in report.per_path
+    ]
     for entry in report.per_path:
         assert entry.delta_h == entry.h_aug - report.h_param
         assert entry.corrective == (entry.delta_h > report.tau)

@@ -19,7 +19,7 @@ from kgconflict import (
     resolve,
 )
 from kgconflict.config import MODEL_TAU_DEFAULTS
-from kgconflict.pipeline import paths_from_dicts
+from kgconflict.retrieval import path_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_trace_replays_resolution(replay_config, replay_gateway, tmp_path):
         replay_config, replay_gateway,
     )
     dumped = trace.to_dict()
-    rebuilt = paths_from_dicts(dumped["p_super"])
+    rebuilt = [path_from_dict(raw) for raw in dumped["p_super"]]
     outcome = resolve(
         dumped["question"], rebuilt, replay_gateway,
         replay_config.resolution(),
