@@ -203,13 +203,12 @@ def entropy_filtered_response(
     cfg: ResolutionConfig,
     raw_context: str | None = None,
     parallelism: int = 1,
-) -> tuple[str, EntropyReport, str, str, list[int]]:
+) -> ResolutionOutcome:
     """Run the conflict loop over arbitrary context strings.
 
-    Returns (response, report, fallback_used, final_context,
-    corrective_indexes). Shared by path-based resolution and the
-    knowledge-graph-free ablation, which filters raw chunks instead of
-    rendered paths.
+    Shared by path-based resolution and the knowledge-graph-free ablation,
+    which filters raw chunks instead of rendered paths. The outcome has no
+    corrective paths: ``report.corrective_indexes()`` index ``contexts``.
     """
     cfg.validate()
     if not contexts and not raw_context:
@@ -228,8 +227,7 @@ def entropy_filtered_response(
         measured = [_answer(query, c, gateway, cfg) for c in contexts]
 
     deltas = [h_aug - h_param for _ans, h_aug in measured]
-    corrective = filter_corrective(range(len(measured)), deltas, cfg.tau)
-    chosen = set(corrective)
+    chosen = set(filter_corrective(range(len(measured)), deltas, cfg.tau))
     per_path = [
         PathEntropy(index=i, h_aug=h_aug, delta_h=deltas[i], corrective=i in chosen)
         for i, (_ans, h_aug) in enumerate(measured)
@@ -242,34 +240,26 @@ def entropy_filtered_response(
         augmented_answers=[ans for ans, _ in measured],
     )
 
+    corrective = report.corrective_indexes()
     if corrective:
         final_context = CONTEXT_DELIMITER.join(contexts[i] for i in corrective)
         fallback_used = FALLBACK_NONE
+    # Configured fallback first, then the other; the guard above leaves one.
+    elif contexts and (cfg.fallback == FALLBACK_TOP_DELTA or not raw_context):
+        best = max(per_path, key=lambda p: p.delta_h)
+        final_context = contexts[best.index]
+        fallback_used = FALLBACK_TOP_DELTA
     else:
-        final_context = None
-        fallback_used = ""
-        preferred = (
-            (cfg.fallback, FALLBACK_RAW_CONTEXT)
-            if cfg.fallback == FALLBACK_TOP_DELTA
-            else (cfg.fallback, FALLBACK_TOP_DELTA)
-        )
-        for option in preferred:
-            if option == FALLBACK_TOP_DELTA and per_path:
-                best = max(per_path, key=lambda p: p.delta_h)
-                final_context = contexts[best.index]
-                fallback_used = FALLBACK_TOP_DELTA
-                break
-            if option == FALLBACK_RAW_CONTEXT and raw_context:
-                final_context = raw_context
-                fallback_used = FALLBACK_RAW_CONTEXT
-                break
-        if final_context is None:
-            raise FallbackExhausted(
-                "no corrective paths, no candidate paths, and no raw context"
-            )
+        final_context = raw_context
+        fallback_used = FALLBACK_RAW_CONTEXT
 
-    response, _h = _answer(query, final_context, gateway, cfg)
-    return response, report, fallback_used, final_context, corrective
+    return ResolutionOutcome(
+        response=plain_answer(query, final_context, gateway, cfg),
+        corrective_paths=[],
+        fallback_used=fallback_used,
+        report=report,
+        final_context=final_context,
+    )
 
 
 def resolve(
@@ -291,16 +281,9 @@ def resolve(
         if path.rendered_context is None:
             raise ValidationError("resolve: every path needs a rendered context")
     contexts = [path.rendered_context for path in p_super]
-    response, report, fallback_used, final_context, corrective = (
-        entropy_filtered_response(
-            query, contexts, gateway, cfg,
-            raw_context=raw_context, parallelism=parallelism,
-        )
+    outcome = entropy_filtered_response(
+        query, contexts, gateway, cfg,
+        raw_context=raw_context, parallelism=parallelism,
     )
-    return ResolutionOutcome(
-        response=response,
-        corrective_paths=[p_super[i] for i in corrective],
-        fallback_used=fallback_used,
-        report=report,
-        final_context=final_context,
-    )
+    outcome.corrective_paths = [p_super[i] for i in outcome.report.corrective_indexes()]
+    return outcome

@@ -440,6 +440,37 @@ def graph_to_dict(graph: KnowledgeGraph) -> dict:
     }
 
 
+_TYPE_NAMES = {str: "a string", int: "an integer", (int, float): "a number",
+               list: "a list", (str, type(None)): "a string or null"}
+_GRAPH_SCHEMA = {
+    "entities": [{"id": str, "name": str, "surface_forms": [str],
+                  "description": str, "source_segments": [int]}],
+    "relations": [{"id": str, "name": str, "description": str,
+                   "source_segments": [int]}],
+    "triples": [{"head": str, "relation": str, "tail": str,
+                 "source_segment": int, "evidence": str}],
+}
+
+
+def check_schema(value, schema, where: str):
+    """``value`` once it matches ``schema``, else ValidationError naming ``where``.
+
+    A schema is a type or types (a bool is no number), ``[schema]`` for a list
+    or a dict of key schemas for an object; a missing key raises KeyError.
+    """
+    if isinstance(schema, dict):
+        for key, sub in schema.items():
+            check_schema(value[key], sub, f"{where}.{key}")
+    elif isinstance(schema, list):
+        for i, item in enumerate(check_schema(value, list, where)):
+            check_schema(item, schema[0], f"{where}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, schema):
+        raise ValidationError(
+            f"{where}: expected {_TYPE_NAMES[schema]}, got {type(value).__name__}"
+        )
+    return value
+
+
 def graph_from_dict(data: dict) -> KnowledgeGraph:
     version = data.get("schema_version")
     if version != GRAPH_SCHEMA_VERSION:
@@ -447,6 +478,7 @@ def graph_from_dict(data: dict) -> KnowledgeGraph:
             f"graph schema version {version!r}, expected {GRAPH_SCHEMA_VERSION}"
         )
     try:
+        check_schema(data, _GRAPH_SCHEMA, "graph")
         entities = {
             raw["id"]: Entity(
                 id=raw["id"],

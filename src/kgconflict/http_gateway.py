@@ -13,7 +13,7 @@ import time
 
 import requests
 
-from .errors import BackendUnavailable, LogprobsUnsupported, ParseError
+from .errors import BackendUnavailable, LogprobsUnsupported, ParseError, ValidationError
 from .gateway import (
     EmbeddingVector,
     GenerationRequest,
@@ -85,7 +85,7 @@ class HttpGateway:
                 continue
             if resp.status_code == 200:
                 try:
-                    return resp.json()
+                    return _object(resp.json(), f"response from {url}")
                 except ValueError as exc:
                     raise ParseError(f"non-JSON response from {url}: {exc}") from exc
             if resp.status_code in (401, 403):
@@ -130,7 +130,7 @@ class HttpGateway:
                 f"embeddings response has {0 if not isinstance(data, list) else len(data)} "
                 f"rows for {len(texts)} inputs"
             )
-        rows = sorted(data, key=lambda d: d.get("index", 0))
+        rows = sorted(data, key=lambda d: _object(d, "embeddings row").get("index", 0))
         out = []
         for row in rows:
             values = row.get("embedding")
@@ -148,20 +148,26 @@ class HttpGateway:
         return out
 
 
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} is not a JSON object")
+    return value
+
+
 def _parse_chat_response(
     body: dict, req: GenerationRequest, default_model: str, latency: float
 ) -> GenerationResult:
     choices = body.get("choices")
     if not isinstance(choices, list) or not choices:
         raise ParseError("chat response has no choices")
-    choice = choices[0]
-    message = choice.get("message") or {}
+    choice = _object(choices[0], "chat response choice")
+    message = _object(choice.get("message") or {}, "chat response message")
     text = message.get("content")
     if not isinstance(text, str):
         raise ParseError("chat response choice has no message content")
 
-    logprobs = choice.get("logprobs")
-    content = (logprobs or {}).get("content")
+    logprobs = _object(choice.get("logprobs") or {}, "chat response logprobs")
+    content = logprobs.get("content")
     if not isinstance(content, list) or not content:
         raise LogprobsUnsupported(
             "backend returned no per-token logprobs; entropy cannot be computed"
@@ -169,6 +175,7 @@ def _parse_chat_response(
 
     positions = []
     for item in content:
+        item = _object(item, "logprobs content entry")
         token = item.get("token")
         chosen_lp = item.get("logprob")
         if not isinstance(token, str) or not isinstance(chosen_lp, (int, float)):
@@ -176,6 +183,7 @@ def _parse_chat_response(
         raw_top = item.get("top_logprobs") or []
         cands = []
         for cand in raw_top:
+            cand = _object(cand, "top_logprobs entry")
             ctok = cand.get("token")
             clp = cand.get("logprob")
             if not isinstance(ctok, str) or not isinstance(clp, (int, float)):
@@ -194,7 +202,7 @@ def _parse_chat_response(
     tokens = TokenLogprobs(positions=tuple(positions))
     try:
         tokens.validate()
-    except Exception as exc:
+    except ValidationError as exc:
         raise ParseError(f"chat response logprobs violate invariants: {exc}") from exc
     return GenerationResult(
         text=text,

@@ -34,7 +34,6 @@ from .graph import (
 )
 from .http_gateway import HttpGateway
 from .retrieval import (
-    EmbeddingCache,
     QueryKeyElements,
     ReasoningPath,
     contextualize,
@@ -157,8 +156,7 @@ def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
         model_id=cfg.model_id or None,
     )
     trace.key_elements = key
-    cache = EmbeddingCache(gateway)
-    important = top_k_important(graph, key, cfg.retrieval, gateway, cache)
+    important = top_k_important(graph, key, cfg.retrieval, gateway)
     trace.important_entities = list(important.entities)
     trace.important_relations = list(important.relations)
     p_init = enumerate_paths(graph, important)
@@ -192,6 +190,7 @@ def answer_query(
 
     resolution = cfg.resolution()
     raw = context if context.strip() else None
+    outcome: ResolutionOutcome | None = None
     t0 = time.perf_counter()
     if cfg.mode == "no_rag":
         t1 = t2 = time.perf_counter()
@@ -205,20 +204,14 @@ def answer_query(
     elif cfg.mode == "no_kg":
         trace.segments = segment(raw, cfg.max_segment_tokens) if raw else []
         t1 = t2 = time.perf_counter()
-        response, report, fallback_used, final_context, _idx = (
-            entropy_filtered_response(
-                question,
-                [c.text for c in trace.segments],
-                gateway,
-                resolution,
-                raw_context=raw,
-                parallelism=cfg.parallelism,
-            )
+        outcome = entropy_filtered_response(
+            question,
+            [c.text for c in trace.segments],
+            gateway,
+            resolution,
+            raw_context=raw,
+            parallelism=cfg.parallelism,
         )
-        trace.response = response
-        trace.report = report
-        trace.fallback_used = fallback_used
-        trace.final_context = final_context
     else:  # full or no_conflict
         graph, _skipped = build_phase(context, cfg, gateway, trace)
         t1 = time.perf_counter()
@@ -239,7 +232,7 @@ def answer_query(
                 question, trace.final_context, gateway, resolution
             )
         else:
-            outcome: ResolutionOutcome = resolve(
+            outcome = resolve(
                 question,
                 p_super,
                 gateway,
@@ -247,10 +240,11 @@ def answer_query(
                 raw_context=raw,
                 parallelism=cfg.parallelism,
             )
-            trace.response = outcome.response
-            trace.report = outcome.report
-            trace.fallback_used = outcome.fallback_used
-            trace.final_context = outcome.final_context
+    if outcome is not None:
+        trace.response = outcome.response
+        trace.report = outcome.report
+        trace.fallback_used = outcome.fallback_used
+        trace.final_context = outcome.final_context
     t3 = time.perf_counter()
 
     trace.timings = {

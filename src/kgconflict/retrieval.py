@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .gateway import GenerationRequest, ModelGateway
-from .graph import KnowledgeGraph, _strip_code_fences, read_json_object
+from .graph import KnowledgeGraph, _strip_code_fences, check_schema, read_json_object
 from .prompts import KEY_ELEMENTS, render
 
 log = logging.getLogger(__name__)
@@ -164,9 +163,18 @@ def path_to_dict(path: ReasoningPath) -> dict:
     }
 
 
-def path_from_dict(data: dict) -> ReasoningPath:
-    """Rebuild a path from ``path_to_dict`` output; bad shapes raise ValidationError."""
+_PATH_SCHEMA = {
+    "nodes": [str], "score": (int, float), "rendered_context": (str, type(None)),
+    "edges": [{"relation": str, "triple_index": int, "direction": str}],
+}
+
+
+def path_from_dict(data: dict, at: str = "path") -> ReasoningPath:
+    """Inverse of ``path_to_dict``; a bad entry raises ValidationError naming ``at``."""
     try:
+        data = check_schema(
+            {"score": 0.0, "rendered_context": None, **data}, _PATH_SCHEMA, at
+        )
         return ReasoningPath(
             nodes=tuple(data["nodes"]),
             edges=tuple(
@@ -177,8 +185,8 @@ def path_from_dict(data: dict) -> ReasoningPath:
                 )
                 for e in data["edges"]
             ),
-            score=data.get("score", 0.0),
-            rendered_context=data.get("rendered_context"),
+            score=data["score"],
+            rendered_context=data["rendered_context"],
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed path entry: {exc!r}") from None
@@ -197,42 +205,12 @@ def load_paths(path: str | Path) -> tuple[str | None, list[ReasoningPath]]:
         raise SchemaVersionMismatch(
             f"paths schema version {version!r}, expected {PATHS_SCHEMA_VERSION}"
         )
-    question = data.get("question")
-    raw_paths = data.get("paths")
-    if not isinstance(raw_paths, list):
-        raise ValidationError(f"{path}: 'paths' must be a list")
-    if question is not None and not isinstance(question, str):
-        raise ValidationError(f"{path}: 'question' must be a string")
-    return question, [path_from_dict(raw) for raw in raw_paths]
-
-
-class EmbeddingCache:
-    """Per-text embedding memo over a gateway.
-
-    Concurrent reads are lock-free snapshots; inserts happen under a lock.
-    Two racing callers may embed the same text twice, which is harmless
-    because backends are deterministic per text.
-    """
-
-    def __init__(self, gateway: ModelGateway) -> None:
-        self._gateway = gateway
-        self._lock = threading.Lock()
-        self._vectors: dict[str, np.ndarray] = {}
-
-    def get_many(self, texts: list[str]) -> dict[str, np.ndarray]:
-        unique = list(dict.fromkeys(texts))
-        with self._lock:
-            missing = [t for t in unique if t not in self._vectors]
-        if missing:
-            embedded = self._gateway.embed(missing)
-            with self._lock:
-                for text, vec in zip(missing, embedded):
-                    self._vectors[text] = np.asarray(vec.values, dtype=np.float64)
-        with self._lock:
-            return {t: self._vectors[t] for t in unique}
-
-    def get(self, text: str) -> np.ndarray:
-        return self.get_many([text])[text]
+    data = check_schema({"question": None, "paths": None, **data},
+                        {"question": (str, type(None)), "paths": list}, "paths file")
+    return data["question"], [
+        path_from_dict(raw, f"paths file.paths[{i}]")
+        for i, raw in enumerate(data["paths"])
+    ]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -292,20 +270,30 @@ def extract_key_elements(
     )
 
 
+def _embed_distinct(texts: list[str], gateway: ModelGateway) -> dict[str, np.ndarray]:
+    """Vectors of the distinct texts, embedded in one call in first-seen order."""
+    unique = list(dict.fromkeys(texts))
+    return {
+        text: np.asarray(vec.values, dtype=np.float64)
+        for text, vec in zip(unique, gateway.embed(unique))
+    }
+
+
+def _max_cosine(vec: np.ndarray, key_vectors: list[np.ndarray]) -> float:
+    return max(cosine(vec, kv) for kv in key_vectors)
+
+
 def similarity(
     candidate_text: str,
     key: QueryKeyElements,
     gateway: ModelGateway,
-    cache: EmbeddingCache | None = None,
 ) -> float:
     """Max cosine similarity between the candidate and any key string."""
     if not candidate_text:
         raise EmptyInput("similarity: empty candidate text")
-    cache = cache or EmbeddingCache(gateway)
     keys = key.key_strings()
-    vectors = cache.get_many([candidate_text, *keys])
-    cand = vectors[candidate_text]
-    return max(cosine(cand, vectors[k]) for k in keys)
+    vectors = _embed_distinct([candidate_text, *keys], gateway)
+    return _max_cosine(vectors[candidate_text], [vectors[k] for k in keys])
 
 
 def _rank(
@@ -314,11 +302,9 @@ def _rank(
     vectors: dict[str, np.ndarray],
     k: int,
 ) -> tuple[tuple[str, float], ...]:
-    scored = []
-    for item_id, text in named:
-        vec = vectors[text]
-        score = max(cosine(vec, kv) for kv in key_vectors)
-        scored.append((item_id, score))
+    scored = [
+        (item_id, _max_cosine(vectors[text], key_vectors)) for item_id, text in named
+    ]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return tuple(scored[:k])
 
@@ -328,7 +314,6 @@ def top_k_important(
     key: QueryKeyElements,
     cfg: RetrievalConfig,
     gateway: ModelGateway,
-    cache: EmbeddingCache | None = None,
 ) -> ImportantSets:
     """Rank entities and relations by similarity to the key elements.
 
@@ -336,14 +321,13 @@ def top_k_important(
     score descending, then id ascending. Empty graph dimensions yield empty
     lists.
     """
-    cache = cache or EmbeddingCache(gateway)
     entity_named = [(e.id, e.name) for e in graph.entities.values()]
     relation_named = [(r.id, r.name) for r in graph.relations.values()]
     if not (entity_named or relation_named):
         return ImportantSets(entities=(), relations=(), k=cfg.k_similar)
     keys = key.key_strings()
     texts = [text for _, text in entity_named + relation_named] + keys
-    vectors = cache.get_many(texts)
+    vectors = _embed_distinct(texts, gateway)
     key_vectors = [vectors[k] for k in keys]
     return ImportantSets(
         entities=_rank(entity_named, key_vectors, vectors, cfg.k_similar),

@@ -435,6 +435,64 @@ def test_malformed_graph_or_paths_file_exits_one(replay_cli_files, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("document, where, value", [
+    pytest.param("graph", ("entities", 0, "id"), 3, id="entity-id"),
+    pytest.param("graph", ("entities", 0, "name"), 7, id="entity-name"),
+    pytest.param("graph", ("entities", 0, "description"), [], id="entity-description"),
+    pytest.param("graph", ("entities", 0, "surface_forms", 0), None,
+                 id="entity-surface-form"),
+    pytest.param("graph", ("entities", 0, "source_segments", 0), "0",
+                 id="entity-source-segment"),
+    pytest.param("graph", ("relations", 0, "name"), 7, id="relation-name"),
+    pytest.param("graph", ("relations", 0, "source_segments", 0), 0.5,
+                 id="relation-source-segment"),
+    pytest.param("graph", ("triples", 0, "relation"), 1, id="triple-relation"),
+    pytest.param("graph", ("triples", 0, "source_segment"), "0",
+                 id="triple-source-segment"),
+    pytest.param("graph", ("triples", 0, "source_segment"), True,
+                 id="triple-source-segment-bool"),
+    pytest.param("graph", ("triples", 0, "evidence"), 1.5, id="triple-evidence"),
+    pytest.param("paths", ("question",), 42, id="question"),
+    pytest.param("paths", ("paths", 0, "nodes", 0), 1, id="path-node"),
+    pytest.param("paths", ("paths", 0, "rendered_context"), 7, id="rendered-context"),
+    pytest.param("paths", ("paths", 0, "score"), "high", id="score"),
+    pytest.param("paths", ("paths", 0, "edges", 0, "relation"), 1, id="edge-relation"),
+    pytest.param("paths", ("paths", 0, "edges", 0, "triple_index"), "0",
+                 id="edge-triple-index"),
+    pytest.param("paths", ("paths", 0, "edges", 0, "direction"), 1,
+                 id="edge-direction"),
+])
+def test_wrongly_typed_graph_or_paths_field_exits_one(replay_cli_files, capsys,
+                                                       document, where, value):
+    tmp = replay_cli_files["tmp"]
+    files = {"graph": tmp / "graph.json", "paths": tmp / "paths.json"}
+    main(["build-graph", "--mock-script", replay_cli_files["script"],
+          "--context", replay_cli_files["context"], "--out", str(files["graph"])])
+    main(["retrieve-paths", "--mock-script", replay_cli_files["script"],
+          "--graph", str(files["graph"]), "--question", fixtures.REPLAY_QUESTION,
+          "--out", str(files["paths"])])
+    data = json.loads(files[document].read_text(encoding="utf-8"))
+    parent = data
+    for step in where[:-1]:
+        parent = parent[step]
+    parent[where[-1]] = value
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    if document == "graph":
+        argv = ["retrieve-paths", "--graph", str(bad), "--question", "q?"]
+    else:
+        argv = ["resolve", "--paths", str(bad)]
+    code = main([*argv, "--mock-script", replay_cli_files["script"],
+                 "--out", str(tmp / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    field = where[-2] if isinstance(where[-1], int) else where[-1]
+    assert f".{field}" in err
+
+
 def test_config_flags_match_config_keys():
     """Every config key has a flag on every subcommand, and nothing more."""
     parser = cli.make_parser()

@@ -27,6 +27,7 @@ from kgconflict import (
     parametric_baseline,
     resolve,
 )
+from kgconflict import conflict
 
 def _tokens(position_logprobs: list[list[float]]) -> TokenLogprobs:
     positions = []
@@ -384,6 +385,21 @@ def test_resolve_parallel_equals_serial(tmp_path):
     parallel = resolve("q?", _paths(4), gw, cfg, parallelism=4)
     assert serial.report == parallel.report
     assert serial.response == parallel.response
+
+
+def test_resolve_computes_entropy_once_per_probe(tmp_path, monkeypatch):
+    """The parametric baseline and each path are measured; the final answer is not."""
+    calls = []
+
+    def counting(tokens):
+        calls.append(tokens)
+        return mean_token_entropy(tokens)
+
+    monkeypatch.setattr(conflict, "mean_token_entropy", counting)
+    gw = _gw(tmp_path, _resolution_entries([False, True, False]))
+    outcome = resolve("q?", _paths(3), gw, ResolutionConfig(tau=1.0))
+    assert outcome.fallback_used == "none"
+    assert len(calls) == 3 + 1
 
 
 def test_entropy_report_round_trips_via_dict(tmp_path):

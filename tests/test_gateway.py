@@ -404,6 +404,37 @@ def test_http_embed_parses_and_orders(fake_server):
     assert server.seen[0]["body"] == {"model": "e1", "input": ["a", "b"]}
 
 
+def _with_logprobs_content(item):
+    payload = _chat_payload()
+    payload["choices"][0]["logprobs"]["content"] = [item]
+    return payload
+
+
+@pytest.mark.parametrize("call, payload", [
+    pytest.param("generate", [], id="generate-list-body"),
+    pytest.param("generate", {"choices": ["Paris"]}, id="string-choice"),
+    pytest.param("generate", {"choices": [{"message": "Paris"}]}, id="string-message"),
+    pytest.param("generate", {"choices": [{"message": {"content": "Paris"},
+                                           "logprobs": ["Paris"]}]},
+                 id="list-logprobs"),
+    pytest.param("generate", _with_logprobs_content("Paris"), id="string-content-entry"),
+    pytest.param("generate", _with_logprobs_content(
+        {"token": "Paris", "logprob": -0.01, "top_logprobs": ["Paris"]}),
+        id="string-top-logprobs-entry"),
+    pytest.param("embed", [], id="embed-list-body"),
+    pytest.param("embed", {"data": ["a", "b"]}, id="string-embeddings-row"),
+])
+def test_http_non_object_json_is_parse_error(fake_server, call, payload):
+    server, url = fake_server
+    server.responder = lambda path, body: (200, payload)
+    gw = HttpGateway(url, model_id="m1", backoff=0.0)
+    with pytest.raises(ParseError, match="is not a JSON object"):
+        if call == "generate":
+            gw.generate(GenerationRequest(prompt="q"))
+        else:
+            gw.embed(["a", "b"])
+
+
 def test_http_embed_row_count_mismatch(fake_server):
     server, url = fake_server
     server.responder = lambda path, body: (

@@ -29,7 +29,7 @@ from kgconflict import (
     similarity,
     top_k_important,
 )
-from kgconflict.retrieval import EmbeddingCache, PathEdge, cosine
+from kgconflict.retrieval import PathEdge, cosine
 
 
 def _gw(tmp_path, entries):
@@ -129,25 +129,18 @@ def test_similarity_empty_candidate_rejected(tmp_path):
         similarity("", QueryKeyElements(target_entities=("a",)), gw)
 
 
-def test_embedding_cache_tolerates_concurrent_readers(tmp_path):
-    from concurrent.futures import ThreadPoolExecutor
-
-    gw = _gw(tmp_path, [])
-    cache = EmbeddingCache(gw)
-    texts = [f"text {i % 7}" for i in range(40)]
-
-    def read(text):
-        return tuple(cache.get(text))
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(read, texts))
-    # Same text must yield the identical vector regardless of interleaving.
-    by_text = {}
-    for text, vec in zip(texts, results):
-        assert by_text.setdefault(text, vec) == vec
+# ---------------------------------------------------------------------------
+# Top-k important
 
 
-def test_embedding_cache_bounds_gateway_calls(tmp_path):
+def _tiny_graph():
+    return build_graph([
+        fixtures.make_extraction("alpha", "rel one", "beta"),
+        fixtures.make_extraction("beta", "rel two", "gamma"),
+    ])
+
+
+def test_top_k_embeds_distinct_texts_in_one_call(tmp_path):
     calls = []
 
     class CountingGateway:
@@ -162,21 +155,11 @@ def test_embedding_cache_bounds_gateway_calls(tmp_path):
             return self.inner.embed(texts)
 
     gw = CountingGateway(_gw(tmp_path, []))
-    cache = EmbeddingCache(gw)
-    cache.get_many(["a", "b", "a"])
-    cache.get_many(["b", "c"])
-    assert calls == [["a", "b"], ["c"]]
-
-
-# ---------------------------------------------------------------------------
-# Top-k important
-
-
-def _tiny_graph():
-    return build_graph([
-        fixtures.make_extraction("alpha", "rel one", "beta"),
-        fixtures.make_extraction("beta", "rel two", "gamma"),
-    ])
+    # Key strings repeat an entity name and a relation name.
+    key = QueryKeyElements(target_entities=("alpha", "delta"),
+                           target_relations=("rel two",), intent="alpha")
+    top_k_important(_tiny_graph(), key, RetrievalConfig(), gw)
+    assert calls == [["alpha", "beta", "gamma", "rel one", "rel two", "delta"]]
 
 
 def test_top_k_returns_all_when_k_exceeds_population(tmp_path):
