@@ -132,7 +132,7 @@ class EmbeddingVector:
     model_id: str
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValidationError("EmbeddingVector: non-finite component")
 
 
@@ -163,11 +163,33 @@ class _ScriptEntry:
     tokens: TokenLogprobs | None = None
     vector: tuple[float, ...] = ()
 
-    def matches(self, prompt: str) -> bool:
-        if self.regex:
-            assert self.pattern is not None
-            return self.pattern.search(prompt) is not None
-        return prompt == self.match
+
+class _ScriptIndex:
+    """Finds the first script entry, in script order, that matches a text.
+
+    Exact entries are indexed by their text (the first of equal ones wins),
+    each with the number of regex entries placed before it. A lookup
+    searches only those regexes before taking the exact hit, and every
+    regex on a miss, so a call costs O(regexes before the hit), not
+    O(entries).
+    """
+
+    def __init__(self, entries: list[_ScriptEntry]) -> None:
+        self._regexes = tuple(e for e in entries if e.regex)
+        self._exact: dict[str, tuple[int, _ScriptEntry]] = {}
+        before = 0
+        for entry in entries:
+            if entry.regex:
+                before += 1
+            else:
+                self._exact.setdefault(entry.match, (before, entry))
+
+    def first_match(self, text: str) -> _ScriptEntry | None:
+        before, hit = self._exact.get(text, (len(self._regexes), None))
+        for entry in self._regexes[:before]:
+            if entry.pattern.search(text) is not None:
+                return entry
+        return hit
 
 
 def _hash_unit_vector(text: str, dim: int) -> np.ndarray:
@@ -203,22 +225,22 @@ class MockGateway:
         model_id: str = "mock-chat",
         embed_model_id: str = "mock-embed",
     ) -> None:
-        self._generate_entries = tuple(e for e in entries if e.kind == "generate")
-        self._embed_entries = tuple(e for e in entries if e.kind == "embed")
+        self._generate_index = _ScriptIndex([e for e in entries if e.kind == "generate"])
+        self._embed_index = _ScriptIndex([e for e in entries if e.kind == "embed"])
         self._dim = embedding_dim
         self.model_id = model_id
         self.embed_model_id = embed_model_id
 
     def generate(self, req: GenerationRequest) -> GenerationResult:
-        for entry in self._generate_entries:
-            if entry.matches(req.prompt):
-                assert entry.tokens is not None
-                return GenerationResult(
-                    text=entry.text,
-                    tokens=entry.tokens,
-                    model_id=req.model_id or self.model_id,
-                    latency=0.0,
-                )
+        entry = self._generate_index.first_match(req.prompt)
+        if entry is not None:
+            assert entry.tokens is not None
+            return GenerationResult(
+                text=entry.text,
+                tokens=entry.tokens,
+                model_id=req.model_id or self.model_id,
+                latency=0.0,
+            )
         preview = req.prompt if len(req.prompt) <= 120 else req.prompt[:117] + "..."
         raise ScriptMiss(f"no script entry matches prompt: {preview!r}")
 
@@ -226,13 +248,11 @@ class MockGateway:
         _check_texts(texts)
         out = []
         for text in texts:
-            vec = None
-            for entry in self._embed_entries:
-                if entry.matches(text):
-                    vec = entry.vector
-                    break
-            if vec is None:
-                vec = tuple(float(v) for v in _hash_unit_vector(text, self._dim))
+            entry = self._embed_index.first_match(text)
+            if entry is not None:
+                vec = entry.vector
+            else:
+                vec = tuple(_hash_unit_vector(text, self._dim).tolist())
             out.append(EmbeddingVector(values=vec, model_id=self.embed_model_id))
         return out
 

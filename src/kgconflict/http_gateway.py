@@ -130,7 +130,7 @@ class HttpGateway:
                 f"embeddings response has {0 if not isinstance(data, list) else len(data)} "
                 f"rows for {len(texts)} inputs"
             )
-        rows = sorted(data, key=lambda d: _object(d, "embeddings row").get("index", 0))
+        rows = sorted(data, key=_row_index)
         out = []
         for row in rows:
             values = row.get("embedding")
@@ -154,6 +154,13 @@ def _object(value: object, what: str) -> dict:
     return value
 
 
+def _row_index(row: object) -> int:
+    index = _object(row, "embeddings row").get("index", 0)
+    if type(index) is not int:  # a bool is no index
+        raise ParseError(f"embeddings row index {index!r} is not an integer")
+    return index
+
+
 def _parse_chat_response(
     body: dict, req: GenerationRequest, default_model: str, latency: float
 ) -> GenerationResult:
@@ -161,6 +168,10 @@ def _parse_chat_response(
     if not isinstance(choices, list) or not choices:
         raise ParseError("chat response has no choices")
     choice = _object(choices[0], "chat response choice")
+    if choice.get("finish_reason") == "length":
+        raise ParseError(
+            "chat response was truncated at max_tokens (finish_reason 'length')"
+        )
     message = _object(choice.get("message") or {}, "chat response message")
     text = message.get("content")
     if not isinstance(text, str):
@@ -181,6 +192,8 @@ def _parse_chat_response(
         if not isinstance(token, str) or not isinstance(chosen_lp, (int, float)):
             raise ParseError("logprobs content entry lacks token/logprob")
         raw_top = item.get("top_logprobs") or []
+        if not isinstance(raw_top, list):
+            raise ParseError("logprobs content entry's top_logprobs is not a list")
         cands = []
         for cand in raw_top:
             cand = _object(cand, "top_logprobs entry")

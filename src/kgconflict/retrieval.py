@@ -8,6 +8,7 @@ renders the selected paths into contextual text blocks.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
@@ -98,11 +99,18 @@ class ImportantSets:
     relations: tuple[tuple[str, float], ...]
     k: int
 
+    def __post_init__(self) -> None:
+        # Built once: score_path asks for both sets once per enumerated path.
+        object.__setattr__(self, "_entity_ids", frozenset(e for e, _ in self.entities))
+        object.__setattr__(
+            self, "_relation_ids", frozenset(r for r, _ in self.relations)
+        )
+
     def entity_ids(self) -> frozenset[str]:
-        return frozenset(eid for eid, _ in self.entities)
+        return self._entity_ids
 
     def relation_ids(self) -> frozenset[str]:
-        return frozenset(rid for rid, _ in self.relations)
+        return self._relation_ids
 
 
 @dataclass(frozen=True)
@@ -213,13 +221,30 @@ def load_paths(path: str | Path) -> tuple[str | None, list[ReasoningPath]]:
     ]
 
 
+def _normed(v: np.ndarray) -> tuple[np.ndarray, float]:
+    return v, float(np.linalg.norm(v))
+
+
+def _max_cosine(
+    vec: tuple[np.ndarray, float], key_vectors: list[tuple[np.ndarray, float]]
+) -> float:
+    """Max ``cosine`` of a ``_normed`` vector against ``_normed`` key vectors.
+
+    Norms come precomputed, so ranking n candidates against m keys takes
+    n + m norms, not 2nm. One ``np.dot`` per pair, not a matrix product:
+    BLAS matrix kernels sum in another order and change the last bit.
+    """
+    u, nu = vec
+    return max(
+        0.0 if nu == 0.0 or nk == 0.0
+        else min(max(float(np.dot(u, k)) / (nu * nk), -1.0), 1.0)
+        for k, nk in key_vectors
+    )
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity clamped to [-1, 1]; zero vectors compare as 0."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.clip(float(np.dot(u, v)) / (nu * nv), -1.0, 1.0))
+    return _max_cosine(_normed(u), [_normed(v)])
 
 
 def extract_key_elements(
@@ -270,17 +295,15 @@ def extract_key_elements(
     )
 
 
-def _embed_distinct(texts: list[str], gateway: ModelGateway) -> dict[str, np.ndarray]:
-    """Vectors of the distinct texts, embedded in one call in first-seen order."""
+def _embed_distinct(
+    texts: list[str], gateway: ModelGateway
+) -> dict[str, tuple[np.ndarray, float]]:
+    """Distinct texts' ``_normed`` vectors, embedded in one call in first-seen order."""
     unique = list(dict.fromkeys(texts))
     return {
-        text: np.asarray(vec.values, dtype=np.float64)
+        text: _normed(np.asarray(vec.values, dtype=np.float64))
         for text, vec in zip(unique, gateway.embed(unique))
     }
-
-
-def _max_cosine(vec: np.ndarray, key_vectors: list[np.ndarray]) -> float:
-    return max(cosine(vec, kv) for kv in key_vectors)
 
 
 def similarity(
@@ -298,8 +321,8 @@ def similarity(
 
 def _rank(
     named: list[tuple[str, str]],  # (id, display text)
-    key_vectors: list[np.ndarray],
-    vectors: dict[str, np.ndarray],
+    key_vectors: list[tuple[np.ndarray, float]],
+    vectors: dict[str, tuple[np.ndarray, float]],
     k: int,
 ) -> tuple[tuple[str, float], ...]:
     scored = [
@@ -345,38 +368,31 @@ def enumerate_paths(
     hop is recorded. Output is globally deduplicated by the exact
     (nodes, edges) sequence and its order is deterministic.
     """
+    # Adjacency lists hold each (triple, direction) once and self-loops are
+    # dropped, so paths from distinct start ids never repeat.
+    hops: dict[str, list[tuple[str, PathEdge]]] = {}
+
+    def _hops(eid: str) -> list[tuple[str, PathEdge]]:
+        """(neighbour, edge) per triple touching ``eid``, built once per call."""
+        if eid not in hops:
+            hops[eid] = []
+            for t, d in graph.adjacency.get(eid, ()):
+                triple = graph.triples[t]
+                other = triple.tail if d == "out" else triple.head
+                if other != eid:
+                    direction = "forward" if d == "out" else "reverse"
+                    hops[eid].append((other, PathEdge(triple.relation, t, direction)))
+        return hops[eid]
+
     paths: list[ReasoningPath] = []
-    seen: set[tuple] = set()
-
-    def _add(nodes: tuple[str, ...], edges: tuple[PathEdge, ...]) -> None:
-        key = (nodes, edges)
-        if key not in seen:
-            seen.add(key)
-            paths.append(ReasoningPath(nodes=nodes, edges=edges))
-
-    for start, _score in important.entities:
-        for t1, d1 in graph.adjacency.get(start, ()):
-            triple1 = graph.triples[t1]
-            mid = triple1.tail if d1 == "out" else triple1.head
-            if mid == start:
-                continue
-            edge1 = PathEdge(
-                relation=triple1.relation,
-                triple_index=t1,
-                direction="forward" if d1 == "out" else "reverse",
-            )
-            _add((start, mid), (edge1,))
-            for t2, d2 in graph.adjacency.get(mid, ()):
-                triple2 = graph.triples[t2]
-                end = triple2.tail if d2 == "out" else triple2.head
-                if end in (start, mid):
-                    continue
-                edge2 = PathEdge(
-                    relation=triple2.relation,
-                    triple_index=t2,
-                    direction="forward" if d2 == "out" else "reverse",
-                )
-                _add((start, mid, end), (edge1, edge2))
+    for start in dict.fromkeys(eid for eid, _ in important.entities):
+        for mid, edge1 in _hops(start):
+            paths.append(ReasoningPath(nodes=(start, mid), edges=(edge1,)))
+            for end, edge2 in _hops(mid):
+                if end != start:
+                    paths.append(
+                        ReasoningPath(nodes=(start, mid, end), edges=(edge1, edge2))
+                    )
     return paths
 
 
@@ -392,11 +408,11 @@ def score_path(
     score = 0.0
     entity_ids = important.entity_ids()
     if entity_ids:
-        covered = len(set(path.nodes) & entity_ids)
+        covered = len(entity_ids.intersection(path.nodes))
         score += cfg.alpha * (covered / len(entity_ids))
     relation_ids = important.relation_ids()
     if relation_ids:
-        covered = len({e.relation for e in path.edges} & relation_ids)
+        covered = len(relation_ids.intersection([e.relation for e in path.edges]))
         score += cfg.beta * (covered / len(relation_ids))
     return score
 
@@ -421,7 +437,14 @@ def select_super_paths(
     then relation/direction/triple-index sequences so the selection is a
     total order. Returns min(paths_k, len(paths)) paths.
     """
-    return sorted(paths, key=_selection_key)[: cfg.paths_k]
+    # The full key only orders paths that tie on (score, length) with the
+    # paths_k-th one; every path that ranks below it on that prefix is out.
+    prefixes = [(-p.score, len(p.edges)) for p in paths]
+    if not prefixes:
+        return []
+    cut = heapq.nsmallest(cfg.paths_k, prefixes)[-1]
+    contenders = [p for p, prefix in zip(paths, prefixes) if prefix <= cut]
+    return heapq.nsmallest(cfg.paths_k, contenders, key=_selection_key)
 
 
 def _arrow(edge: PathEdge, relation_name: str) -> str:

@@ -128,6 +128,33 @@ def test_regex_match_first_entry_wins(tmp_path):
     assert gw.generate(GenerationRequest(prompt="anything")).text == "generic"
 
 
+@pytest.mark.parametrize("order, prompt, expected", [
+    pytest.param(["regex", "exact"], "Q1", "regex", id="regex-before-exact-shadows"),
+    pytest.param(["exact", "regex"], "Q1", "exact", id="regex-after-exact-does-not"),
+    pytest.param(["exact", "regex"], "Q2", "regex", id="exact-miss-falls-to-regex"),
+    pytest.param(["exact", "exact2"], "Q1", "exact", id="first-of-equal-exact-wins"),
+])
+def test_exact_and_regex_entries_first_match_wins(tmp_path, order, prompt, expected):
+    entries = {
+        "regex": fixtures.gen_entry("^Q", "regex", fixtures.one_token("regex"),
+                                    regex=True),
+        "exact": fixtures.gen_entry("Q1", "exact", fixtures.one_token("exact")),
+        "exact2": fixtures.gen_entry("Q1", "exact2", fixtures.one_token("exact2")),
+    }
+    gw = _script(tmp_path, [entries[name] for name in order])
+    assert gw.generate(GenerationRequest(prompt=prompt)).text == expected
+
+
+def test_embed_override_first_match_wins(tmp_path):
+    gw = _script(tmp_path, [
+        fixtures.embed_entry("^a", [1.0, 0.0], regex=True),
+        fixtures.embed_entry("ab", [0.0, 1.0]),
+        fixtures.embed_entry("b", [0.0, 1.0]),
+        fixtures.embed_entry("b", [1.0, 1.0]),
+    ])
+    assert [v.values for v in gw.embed(["ab", "b"])] == [(1.0, 0.0), (0.0, 1.0)]
+
+
 def test_mock_generate_is_bit_identical(tmp_path):
     gw = _script(tmp_path, [
         fixtures.gen_entry("Q", "ab", fixtures.sharp_tokens(["a", "b"])),
@@ -429,6 +456,31 @@ def test_http_non_object_json_is_parse_error(fake_server, call, payload):
     server.responder = lambda path, body: (200, payload)
     gw = HttpGateway(url, model_id="m1", backoff=0.0)
     with pytest.raises(ParseError, match="is not a JSON object"):
+        if call == "generate":
+            gw.generate(GenerationRequest(prompt="q"))
+        else:
+            gw.embed(["a", "b"])
+
+
+@pytest.mark.parametrize("call, payload, message", [
+    pytest.param("generate", _with_logprobs_content(
+        {"token": "Paris", "logprob": -0.01, "top_logprobs": 5}),
+        "top_logprobs is not a list", id="int-top-logprobs"),
+    pytest.param("generate", {"choices": [{**_chat_payload()["choices"][0],
+                                           "finish_reason": "length"}]},
+                 "truncated at max_tokens", id="truncated-reply"),
+    pytest.param("embed", {"data": [{"index": "1", "embedding": [1.0]},
+                                    {"index": 0, "embedding": [2.0]}]},
+                 "index '1' is not an integer", id="string-embeddings-index"),
+    pytest.param("embed", {"data": [{"index": True, "embedding": [1.0]},
+                                    {"index": 0, "embedding": [2.0]}]},
+                 "index True is not an integer", id="bool-embeddings-index"),
+])
+def test_http_malformed_reply_is_parse_error(fake_server, call, payload, message):
+    server, url = fake_server
+    server.responder = lambda path, body: (200, payload)
+    gw = HttpGateway(url, model_id="m1", backoff=0.0)
+    with pytest.raises(ParseError, match=message):
         if call == "generate":
             gw.generate(GenerationRequest(prompt="q"))
         else:

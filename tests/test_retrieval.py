@@ -29,7 +29,7 @@ from kgconflict import (
     similarity,
     top_k_important,
 )
-from kgconflict.retrieval import PathEdge, cosine
+from kgconflict.retrieval import PathEdge, _max_cosine, _normed, cosine
 
 
 def _gw(tmp_path, entries):
@@ -127,6 +127,37 @@ def test_similarity_empty_candidate_rejected(tmp_path):
     gw = _gw(tmp_path, [])
     with pytest.raises(EmptyInput):
         similarity("", QueryKeyElements(target_entities=("a",)), gw)
+
+
+def _per_pair_cosine(u, v):
+    """Reference scorer: both norms per call and a numpy clamp."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.clip(float(np.dot(u, v)) / (nu * nv), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("dim, unit", [(64, True), (384, False)])
+def test_norm_once_scorer_equals_per_pair_cosine(dim, unit):
+    rng = np.random.default_rng(dim)
+    vectors = rng.standard_normal((40, dim)) * (1.0 if unit else 7.3)
+    if unit:
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    keys = [*vectors[30:], np.zeros(dim)]
+    # Parallel and anti-parallel pairs, whose raw quotient can leave [-1, 1]
+    # by an ulp so that the clamp applies, and a zero vector.
+    parallel = [(s * k, k) for k in vectors[30:] for s in (3.0, -0.5)]
+    assert any(
+        abs(float(np.dot(c, k)) / (np.linalg.norm(c) * np.linalg.norm(k))) > 1.0
+        for c, k in parallel
+    )
+    candidates = [*vectors[:30], *(c for c, _ in parallel), np.zeros(dim)]
+    normed_keys = [_normed(k) for k in keys]
+    for candidate in candidates:
+        expected = [_per_pair_cosine(candidate, k) for k in keys]
+        assert [cosine(candidate, k) for k in keys] == expected
+        assert _max_cosine(_normed(candidate), normed_keys) == max(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +296,25 @@ def test_enumerate_matches_exhaustive_oracle_on_random_graphs():
         assert fixtures.path_key_set(paths) == fixtures.oracle_simple_paths(
             graph, chosen
         )
+
+
+def test_enumerate_repeated_start_ids_yield_each_path_once():
+    # A triple extracted from two segments, a self-loop and a cycle.
+    graph = build_graph([
+        fixtures.make_extraction("a", "r", "b", segment_id=0),
+        fixtures.make_extraction("a", "r", "b", segment_id=1),
+        fixtures.make_extraction("b", "loop", "b"),
+        fixtures.make_extraction("b", "r2", "c"),
+        fixtures.make_extraction("c", "r3", "a"),
+    ])
+    once = enumerate_paths(graph, fixtures.important_from_ids(["a", "b"]))
+    repeated = enumerate_paths(graph, fixtures.important_from_ids(["a", "b", "a", "b"]))
+    keys = [p.key() for p in repeated]
+    assert len(keys) == len(set(keys))
+    assert keys == [p.key() for p in once]
+    assert fixtures.path_key_set(repeated) == fixtures.oracle_simple_paths(
+        graph, ["a", "b"]
+    )
 
 
 # ---------------------------------------------------------------------------
