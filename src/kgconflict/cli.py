@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-import threading
 from pathlib import Path
 
 from .config import ALL_KEYS, MODES, PipelineConfig, parse_config
@@ -102,7 +101,7 @@ def _gateway_or_exit(cfg: PipelineConfig):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_VALIDATION, f"cannot read {path}: {exc}")
 
 
@@ -199,14 +198,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trace_sink = None
-    if cfg.trace:
-        lock = threading.Lock()
-
-        def trace_sink(trace) -> None:
-            with lock:
-                _append_trace(out_dir, trace.to_dict())
-
+    trace_sink = (lambda trace: _append_trace(out_dir, trace.to_dict())) if cfg.trace else None
     result = run_eval(records, cfg, gateway, trace_sink=trace_sink)
     write_results_csv(result, out_dir / "results.csv")
     write_summary_json(result, out_dir / "summary.json")

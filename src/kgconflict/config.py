@@ -128,8 +128,12 @@ def _read_config_file(path: str | Path) -> dict[str, object]:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, object] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

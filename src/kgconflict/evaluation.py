@@ -9,7 +9,6 @@ file because they can never be byte-stable.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import string
 import time
@@ -26,7 +25,7 @@ from .errors import (
     ParseError,
     PipelineError,
 )
-from .gateway import ModelGateway, TokenLogprobs
+from .gateway import ModelGateway, TokenLogprobs, read_json_lines
 from .graph import _SENTENCE_BOUNDARY, write_json
 from .pipeline import QueryTrace, answer_query, build_gateway
 
@@ -90,59 +89,51 @@ def load_dataset(path: str | Path) -> list[EvalRecord]:
     """Load JSONL eval records, enforcing types, bounds, and unique ids."""
     records: list[EvalRecord] = []
     seen_ids: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for index, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"dataset record {index}: invalid JSON: {exc}") from exc
-            _require(isinstance(raw, dict), index, "record must be an object")
-            record_id = raw.get("id")
-            _require(isinstance(record_id, str) and bool(record_id), index,
-                     "missing or empty 'id'")
-            if record_id in seen_ids:
-                raise DuplicateId(f"dataset record {index}: duplicate id {record_id!r}")
-            seen_ids.add(record_id)
-            question = raw.get("question")
-            _require(isinstance(question, str) and bool(question.strip()), index,
-                     "missing or empty 'question'")
-            context = raw.get("context")
-            _require(isinstance(context, str), index, "missing 'context'")
-            golds = raw.get("gold_answers")
-            _require(
-                isinstance(golds, list) and bool(golds)
-                and all(isinstance(g, str) for g in golds),
-                index, "'gold_answers' must be a non-empty list of strings",
-            )
-            spans = None
-            if raw.get("gold_spans") is not None:
-                raw_spans = raw["gold_spans"]
-                _require(isinstance(raw_spans, list), index,
-                         "'gold_spans' must be a list")
-                parsed = []
-                for span in raw_spans:
-                    _require(
-                        isinstance(span, list) and len(span) == 2
-                        and all(isinstance(v, int) for v in span),
-                        index, "each gold span must be [start, end]",
-                    )
-                    start, end = span
-                    _require(0 <= start < end <= len(context), index,
-                             f"gold span [{start}, {end}] outside context bounds")
-                    parsed.append((start, end))
-                spans = tuple(parsed)
-            records.append(
-                EvalRecord(
-                    id=record_id,
-                    question=question,
-                    context=context,
-                    gold_answers=tuple(golds),
-                    gold_spans=spans,
+    for index, raw in read_json_lines(path, "dataset record"):
+        _require(isinstance(raw, dict), index, "record must be an object")
+        record_id = raw.get("id")
+        _require(isinstance(record_id, str) and bool(record_id), index,
+                 "missing or empty 'id'")
+        if record_id in seen_ids:
+            raise DuplicateId(f"dataset record {index}: duplicate id {record_id!r}")
+        seen_ids.add(record_id)
+        question = raw.get("question")
+        _require(isinstance(question, str) and bool(question.strip()), index,
+                 "missing or empty 'question'")
+        context = raw.get("context")
+        _require(isinstance(context, str), index, "missing 'context'")
+        golds = raw.get("gold_answers")
+        _require(
+            isinstance(golds, list) and bool(golds)
+            and all(isinstance(g, str) for g in golds),
+            index, "'gold_answers' must be a non-empty list of strings",
+        )
+        spans = None
+        if raw.get("gold_spans") is not None:
+            raw_spans = raw["gold_spans"]
+            _require(isinstance(raw_spans, list), index,
+                     "'gold_spans' must be a list")
+            parsed = []
+            for span in raw_spans:
+                _require(
+                    isinstance(span, list) and len(span) == 2
+                    and all(isinstance(v, int) for v in span),
+                    index, "each gold span must be [start, end]",
                 )
+                start, end = span
+                _require(0 <= start < end <= len(context), index,
+                         f"gold span [{start}, {end}] outside context bounds")
+                parsed.append((start, end))
+            spans = tuple(parsed)
+        records.append(
+            EvalRecord(
+                id=record_id,
+                question=question,
+                context=context,
+                gold_answers=tuple(golds),
+                gold_spans=spans,
             )
+        )
     return records
 
 
@@ -230,16 +221,11 @@ def confidence_logprob(tokens: TokenLogprobs) -> float:
 
 
 def _evaluate_record(
-    record: EvalRecord,
-    cfg: PipelineConfig,
-    gateway: ModelGateway,
-    trace_sink: Callable[[QueryTrace], None] | None = None,
-) -> RecordResult:
+    record: EvalRecord, cfg: PipelineConfig, gateway: ModelGateway
+) -> tuple[RecordResult, QueryTrace]:
     start = time.perf_counter()
     response, trace = answer_query(record.question, record.context, cfg, gateway)
     wall = time.perf_counter() - start
-    if trace_sink is not None:
-        trace_sink(trace)
     deltas = (
         [p.delta_h for p in trace.report.per_path] if trace.report is not None else []
     )
@@ -254,7 +240,7 @@ def _evaluate_record(
         context_tokens=len(trace.final_context.split()),
         wall_time=wall,
         fallback=trace.fallback_used,
-    )
+    ), trace
 
 
 def run_eval(
@@ -268,34 +254,35 @@ def run_eval(
     Gateway failures abort the run unless cfg.skip_errors is set, in which
     case the failing records are reported separately. Rows are ordered by
     record id so aggregation is deterministic under any parallelism. When a
-    trace_sink is given it receives each record's QueryTrace as it finishes
-    (concurrently under parallelism > 1).
+    trace_sink is given it receives each evaluated record's QueryTrace on the
+    calling thread, in dataset order, under any parallelism.
     """
     cfg.validate()
     gateway = gateway or build_gateway(cfg)
 
-    def one(record: EvalRecord) -> tuple[EvalRecord, RecordResult | PipelineError]:
+    def one(record: EvalRecord) -> tuple[RecordResult | PipelineError, QueryTrace | None]:
         try:
-            return record, _evaluate_record(record, cfg, gateway, trace_sink)
+            return _evaluate_record(record, cfg, gateway)
         except PipelineError as exc:
             if cfg.skip_errors:
-                return record, exc
+                return exc, None
             raise
-
-    if cfg.parallelism > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            outcomes = list(pool.map(one, records))
-    else:
-        outcomes = [one(r) for r in records]
 
     rows: list[RecordResult] = []
     skipped: list[tuple[str, str]] = []
-    for record, outcome in outcomes:
-        if isinstance(outcome, PipelineError):
-            log.warning("skipping record %s: %s", record.id, outcome)
-            skipped.append((record.id, str(outcome)))
-        else:
-            rows.append(outcome)
+    parallel = cfg.parallelism > 1 and len(records) > 1
+    # The pool starts no thread until a task is submitted, so the sequential
+    # path runs every record on the calling thread at no extra cost.
+    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+        outcomes = pool.map(one, records) if parallel else map(one, records)
+        for record, (outcome, trace) in zip(records, outcomes):
+            if trace is not None and trace_sink is not None:
+                trace_sink(trace)
+            if isinstance(outcome, PipelineError):
+                log.warning("skipping record %s: %s", record.id, outcome)
+                skipped.append((record.id, str(outcome)))
+            else:
+                rows.append(outcome)
     rows.sort(key=lambda r: r.record_id)
     skipped.sort(key=lambda pair: pair[0])
 

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -338,6 +338,28 @@ def _parse_entry(obj: dict, line_no: int) -> _ScriptEntry:
                         vector=tuple(float(v) for v in vector))
 
 
+def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
+    """Yield (line number, value) for each non-blank line of a JSON Lines file.
+
+    A line that is not JSON, or that the parser refuses (nested too deeply,
+    an integer with too many digits), raises ParseError naming ``what`` and
+    the line number. A file that is not UTF-8 text raises ParseError.
+    """
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    value = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(f"{what} {line_no}: invalid JSON: {exc}") from exc
+                yield line_no, value
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_mock_script(path: str | Path) -> MockGateway:
     """Load a JSON Lines mock script into an immutable backend.
 
@@ -348,20 +370,14 @@ def load_mock_script(path: str | Path) -> MockGateway:
     ``vector``. Blank lines are ignored. Raises ParseError with the
     offending line number.
     """
-    path = Path(path)
     entries: list[_ScriptEntry] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"script line {line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"script line {line_no}: entry must be an object")
+    for line_no, obj in read_json_lines(path, "script line"):
+        if not isinstance(obj, dict):
+            raise ParseError(f"script line {line_no}: entry must be an object")
+        try:
             entries.append(_parse_entry(obj, line_no))
+        except OverflowError as exc:  # an integer too large for a float
+            raise ParseError(f"script line {line_no}: {exc}") from None
 
     dims = {len(e.vector) for e in entries if e.kind == "embed"}
     if len(dims) > 1:

@@ -531,7 +531,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
     """Parse a JSON file that must hold one object; any failure is a ValidationError."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{what} file {path}: expected a JSON object")

@@ -7,11 +7,13 @@ variable only; it never appears in config files.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import time
-
-import requests
+from http.client import HTTPException
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 from .errors import BackendUnavailable, LogprobsUnsupported, ParseError, ValidationError
 from .gateway import (
@@ -35,8 +37,8 @@ _RETRYABLE_STATUSES = {408, 429, 500, 502, 503, 504}
 class HttpGateway:
     """Client for any endpoint speaking the OpenAI chat/embeddings protocol.
 
-    Stateless between calls (no shared session), so one instance can serve
-    concurrent callers. Transient failures are retried ``max_attempts`` times
+    Stateless between calls (a new connection per call), so one instance can
+    serve concurrent callers. Transient failures are retried ``max_attempts`` times
     with exponential backoff before raising BackendUnavailable.
 
     Tokenization note: the response text is taken from message.content and
@@ -71,37 +73,35 @@ class HttpGateway:
         return headers
 
     def _post(self, url: str, payload: dict) -> dict:
+        data = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                resp = requests.post(
-                    url, json=payload, headers=self._headers(), timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                try:
+                    resp = urlopen(Request(url, data, self._headers()), timeout=self.timeout)
+                except HTTPError as exc:  # urlopen raises it for non-2xx replies
+                    resp = exc
+                with resp:
+                    status, body = resp.status, resp.read()
+            except (OSError, ValueError, HTTPException) as exc:
                 last_error = exc
                 log.warning("POST %s failed (attempt %d): %s", url, attempt + 1, exc)
                 continue
-            if resp.status_code == 200:
+            if status == 200:
                 try:
-                    return _object(resp.json(), f"response from {url}")
-                except ValueError as exc:
+                    return _object(json.loads(body), f"response from {url}")
+                except (ValueError, RecursionError) as exc:
                     raise ParseError(f"non-JSON response from {url}: {exc}") from exc
-            if resp.status_code in (401, 403):
-                raise BackendUnavailable(
-                    f"auth failure from {url}: HTTP {resp.status_code}"
-                )
-            if resp.status_code in _RETRYABLE_STATUSES:
-                last_error = BackendUnavailable(
-                    f"HTTP {resp.status_code} from {url}: {resp.text[:200]}"
-                )
-                log.warning("POST %s returned %d (attempt %d)", url, resp.status_code,
-                            attempt + 1)
-                continue
-            raise BackendUnavailable(
-                f"HTTP {resp.status_code} from {url}: {resp.text[:200]}"
+            if status in (401, 403):
+                raise BackendUnavailable(f"auth failure from {url}: HTTP {status}")
+            last_error = BackendUnavailable(
+                f"HTTP {status} from {url}: {body.decode('utf-8', 'replace')[:200]}"
             )
+            if status not in _RETRYABLE_STATUSES:
+                raise last_error
+            log.warning("POST %s returned %d (attempt %d)", url, status, attempt + 1)
         raise BackendUnavailable(
             f"giving up on {url} after {self.max_attempts} attempts: {last_error}"
         )

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
 
@@ -491,6 +496,107 @@ def test_wrongly_typed_graph_or_paths_field_exits_one(replay_cli_files, capsys,
     assert err.count("\n") == 1
     field = where[-2] if isinstance(where[-1], int) else where[-1]
     assert f".{field}" in err
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The replay fixture as files, with the graph and paths files built from it."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    files = {
+        "script": fixtures.write_script(tmp / "script.jsonl",
+                                        fixtures.replay_script_entries()),
+        "context": tmp / "context.txt",
+        "dataset": tmp / "dataset.jsonl",
+        "graph": tmp / "graph.json",
+        "paths": tmp / "paths.json",
+        "run": tmp / "run",
+        "out": tmp / "out.json",
+    }
+    files["context"].write_text(fixtures.REPLAY_CONTEXT, encoding="utf-8")
+    files["dataset"].write_text(json.dumps(fixtures.replay_dataset_record()) + "\n",
+                                encoding="utf-8")
+    files = {name: str(path) for name, path in files.items()}
+    assert main(["build-graph", "--mock-script", files["script"],
+                 "--context", files["context"], "--out", files["graph"]]) == 0
+    assert main(["retrieve-paths", "--mock-script", files["script"],
+                 "--graph", files["graph"], "--question", fixtures.REPLAY_QUESTION,
+                 "--out", files["paths"]]) == 0
+    return files
+
+
+def _argv_reading(files: dict, kind: str, path: str) -> list[str]:
+    """A CLI call that reads ``path`` as its ``kind`` input; the other inputs are valid."""
+    files = {**files, kind: path}
+    if kind == "dataset":
+        return ["eval", "--mock-script", files["script"], "--dataset", path,
+                "--out", files["run"]]
+    if kind == "context":
+        return ["answer", "--mock-script", files["script"],
+                "--question", fixtures.REPLAY_QUESTION, "--context", path]
+    if kind == "graph":
+        return ["retrieve-paths", "--mock-script", files["script"], "--graph", path,
+                "--question", fixtures.REPLAY_QUESTION, "--out", files["out"]]
+    argv = ["resolve", "--mock-script", files["script"], "--paths", files["paths"]]
+    return argv + ["--config", path] if kind == "config" else argv
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_one_error_line(err: str) -> None:
+    assert err.startswith(("error: ", "backend error: ")), err
+    assert err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+# The exit code a bad file of each kind gives.
+_INPUT_CODES = {"config": 1, "script": 2, "dataset": 3, "context": 1, "graph": 1,
+                "paths": 1}
+
+
+@pytest.mark.parametrize("kind", list(_INPUT_CODES))
+def test_non_utf8_input_file_exits_with_its_code(valid_inputs, tmp_path, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + "k = 1\n".encode("utf-16-le"))
+    code, err = _run(_argv_reading(valid_inputs, kind, str(bad)))
+    assert code == _INPUT_CODES[kind]
+    _assert_one_error_line(err)
+    assert "utf-8" in err
+    if kind == "script":
+        assert "backend setup failed" in err
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param("[" * 100_000, id="deep-nesting"),
+    pytest.param("1" * 5_000, id="long-integer"),
+])
+@pytest.mark.parametrize("kind", ["script", "dataset", "graph", "paths"])
+def test_json_the_parser_refuses_exits_with_its_code(valid_inputs, tmp_path, kind,
+                                                     content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content + "\n", encoding="utf-8")
+    code, err = _run(_argv_reading(valid_inputs, kind, str(bad)))
+    assert code == _INPUT_CODES[kind]
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("kind", ["config", "dataset", "script", "graph", "paths"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.binary(max_size=512))
+def test_arbitrary_input_file_exits_with_its_code(valid_inputs, kind, data):
+    """Fuzz gate: any bytes as one input file give 0 (a valid file) or the
+    input's error code, with one error line and no traceback."""
+    bad = Path(valid_inputs["run"]).with_name(f"fuzzed-{kind}")
+    bad.write_bytes(data)
+    code, err = _run(_argv_reading(valid_inputs, kind, str(bad)))
+    if code == 0:
+        assert "Traceback" not in err
+    else:
+        assert code == _INPUT_CODES[kind]
+        _assert_one_error_line(err)
 
 
 def test_config_flags_match_config_keys():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -24,6 +26,7 @@ from kgconflict import (
     cpr,
     is_correct,
     load_dataset,
+    load_mock_script,
     run_eval,
 )
 from kgconflict.evaluation import summary_dict, write_results_csv, write_summary_json
@@ -348,6 +351,48 @@ def test_run_eval_parallel_matches_serial(replay_config, replay_gateway):
     strip = lambda rows: [replace(r, wall_time=0.0) for r in rows]
     assert strip(serial.rows) == strip(parallel.rows)
     assert serial.accuracy == parallel.accuracy
+
+
+class _LastToFinish:
+    """Holds every call for one question until the other records' calls returned."""
+
+    def __init__(self, inner, slow_question: str, others: int) -> None:
+        self.inner = inner
+        self.slow_question = slow_question
+        self.others = others
+        self.returned = 0
+        self.lock = threading.Lock()
+        self.others_done = threading.Event()
+
+    def generate(self, req):
+        if self.slow_question in req.prompt:
+            assert self.others_done.wait(timeout=10)
+            time.sleep(0.05)  # so the other records finish well before this one
+            return self.inner.generate(req)
+        result = self.inner.generate(req)
+        with self.lock:
+            self.returned += 1
+            if self.returned == self.others:
+                self.others_done.set()
+        return result
+
+    def embed(self, texts):
+        return self.inner.embed(texts)
+
+
+def test_run_eval_sends_traces_in_dataset_order(tmp_path):
+    entry = fixtures.gen_entry(".", "blue", fixtures.one_token("blue"), regex=True)
+    script = fixtures.write_script(tmp_path / "any.jsonl", [entry])
+    cfg = PipelineConfig(mock_script=str(script), mode="no_rag", parallelism=4)
+    records = [
+        EvalRecord(id=f"r{i}", question=f"Question {i}?", context="",
+                   gold_answers=("blue",))
+        for i in range(4)
+    ]
+    gateway = _LastToFinish(load_mock_script(str(script)), "Question 0?", others=3)
+    seen = []
+    run_eval(records, cfg, gateway, trace_sink=lambda trace: seen.append(trace.question))
+    assert seen == [r.question for r in records]
 
 
 def test_csv_and_summary_outputs(tmp_path, replay_config, replay_gateway):

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +198,18 @@ def test_invalid_json_line_reports_line_number(tmp_path):
         load_mock_script(path)
 
 
+@pytest.mark.parametrize("entry", [
+    pytest.param(fixtures.embed_entry("a", [1.0, 10**400]), id="embed-vector"),
+    pytest.param(fixtures.gen_entry("q", "a", [{"token": "a", "candidates": [
+        ["a", 0.0], ["b", -(10**400)]]}]), id="candidate-logprob"),
+])
+def test_script_int_too_large_for_float_reports_line_number(tmp_path, entry):
+    good = fixtures.gen_entry("q0", "a", fixtures.one_token("a"))
+    path = fixtures.write_script(tmp_path / "bad.jsonl", [good, entry])
+    with pytest.raises(ParseError, match="line 2: int too large"):
+        load_mock_script(path)
+
+
 def test_script_rejects_token_text_mismatch(tmp_path):
     entry = fixtures.gen_entry("q", "hello", fixtures.one_token("other"))
     path = fixtures.write_script(tmp_path / "bad.jsonl", [entry])
@@ -277,11 +293,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.seen.append(
             {"path": self.path, "body": body, "headers": dict(self.headers)}
         )
-        status, payload = self.server.responder(self.path, body)
-        data = json.dumps(payload).encode("utf-8")
+        reply = self.server.responder(self.path, body)
+        if reply is None:  # hang up without replying
+            return
+        # A bytes payload is sent as is; a third item declares a longer
+        # Content-Length than the body sent, so the reply arrives cut short.
+        status, payload, *declared = reply
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(declared[0] if declared else len(data)))
         self.end_headers()
         self.wfile.write(data)
 
@@ -300,6 +321,7 @@ def fake_server():
         yield server, f"http://127.0.0.1:{server.server_address[1]}/v1"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 
@@ -411,6 +433,64 @@ def test_http_unreachable_host_is_backend_unavailable():
                      max_attempts=2, timeout=0.2)
     with pytest.raises(BackendUnavailable):
         gw.generate(GenerationRequest(prompt="q"))
+
+
+def test_http_url_without_scheme_is_backend_unavailable(fake_server, caplog):
+    server, url = fake_server
+    gw = HttpGateway(url.removeprefix("http://"), model_id="m1", backoff=0.0,
+                     max_attempts=3)
+    with pytest.raises(BackendUnavailable, match="after 3 attempts"):
+        gw.generate(GenerationRequest(prompt="q"))
+    assert sum("failed (attempt" in r.getMessage() for r in caplog.records) == 3
+    assert server.seen == []
+
+
+@pytest.mark.parametrize("reply", [
+    pytest.param(None, id="hang-up"),
+    pytest.param((200, b'{"choices": [', 100), id="truncated-body"),
+    pytest.param((500, b"overloaded", 100), id="truncated-error-body"),
+])
+def test_http_broken_reply_is_retried(fake_server, reply):
+    server, url = fake_server
+    server.responder = lambda path, body: reply
+    gw = HttpGateway(url, model_id="m1", backoff=0.0, max_attempts=3)
+    with pytest.raises(BackendUnavailable, match="after 3 attempts"):
+        gw.generate(GenerationRequest(prompt="q"))
+    assert len(server.seen) == 3
+
+
+def test_http_2xx_other_than_200_is_backend_unavailable(fake_server):
+    server, url = fake_server
+    server.responder = lambda path, body: (204, b"")
+    gw = HttpGateway(url, model_id="m1", backoff=0.0, max_attempts=3)
+    with pytest.raises(BackendUnavailable, match="HTTP 204"):
+        gw.generate(GenerationRequest(prompt="q"))
+    assert len(server.seen) == 1
+
+
+def test_http_non_utf8_error_body_is_backend_unavailable(fake_server):
+    server, url = fake_server
+    server.responder = lambda path, body: (500, b"\xff\xfe down \xc3")
+    gw = HttpGateway(url, model_id="m1", backoff=0.0, max_attempts=2)
+    with pytest.raises(BackendUnavailable, match="HTTP 500 .*down"):
+        gw.generate(GenerationRequest(prompt="q"))
+    assert len(server.seen) == 2
+
+
+def test_package_imports_without_requests():
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.modules['requests'] = None; import kgconflict; "
+        "print(kgconflict.HttpGateway.__module__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "kgconflict.http_gateway"
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["dependencies"] == ["numpy>=1.24"]
 
 
 def test_http_embed_parses_and_orders(fake_server):
