@@ -30,7 +30,8 @@ from .evaluation import (
     write_summary_json,
     write_timings_json,
 )
-from .graph import load_graph, save_graph, write_json
+from .graph import load_graph, save_graph
+from .jsonio import write_json
 from .pipeline import (
     QueryTrace,
     answer_query,

@@ -25,8 +25,9 @@ from .errors import (
     ParseError,
     PipelineError,
 )
-from .gateway import ModelGateway, TokenLogprobs, read_json_lines
-from .graph import _SENTENCE_BOUNDARY, write_json
+from .gateway import ModelGateway, TokenLogprobs
+from .graph import _SENTENCE_BOUNDARY
+from .jsonio import read_json_lines, write_json
 from .pipeline import QueryTrace, answer_query, build_gateway
 
 log = logging.getLogger(__name__)
@@ -275,14 +276,18 @@ def run_eval(
     # path runs every record on the calling thread at no extra cost.
     with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
         outcomes = pool.map(one, records) if parallel else map(one, records)
-        for record, (outcome, trace) in zip(records, outcomes):
-            if trace is not None and trace_sink is not None:
-                trace_sink(trace)
-            if isinstance(outcome, PipelineError):
-                log.warning("skipping record %s: %s", record.id, outcome)
-                skipped.append((record.id, str(outcome)))
-            else:
-                rows.append(outcome)
+        try:
+            for record, (outcome, trace) in zip(records, outcomes):
+                if trace is not None and trace_sink is not None:
+                    trace_sink(trace)
+                if isinstance(outcome, PipelineError):
+                    log.warning("skipping record %s: %s", record.id, outcome)
+                    skipped.append((record.id, str(outcome)))
+                else:
+                    rows.append(outcome)
+        except BaseException:  # a failing sink: drop the records not yet started
+            pool.shutdown(cancel_futures=True)
+            raise
     rows.sort(key=lambda r: r.record_id)
     skipped.sort(key=lambda pair: pair[0])
 

@@ -9,16 +9,16 @@ bit-identically across runs.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import EmptyInput, ParseError, ScriptMiss, ValidationError
+from .jsonio import read_json_lines
 
 # Raw top-k probability masses may legitimately sum to slightly above 1
 # through float rounding; anything above this is a malformed distribution.
@@ -336,28 +336,6 @@ def _parse_entry(obj: dict, line_no: int) -> _ScriptEntry:
         )
     return _ScriptEntry(kind=kind, match=match, regex=regex, pattern=pattern,
                         vector=tuple(float(v) for v in vector))
-
-
-def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
-    """Yield (line number, value) for each non-blank line of a JSON Lines file.
-
-    A line that is not JSON, or that the parser refuses (nested too deeply,
-    an integer with too many digits), raises ParseError naming ``what`` and
-    the line number. A file that is not UTF-8 text raises ParseError.
-    """
-    try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    value = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise ParseError(f"{what} {line_no}: invalid JSON: {exc}") from exc
-                yield line_no, value
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load_mock_script(path: str | Path) -> MockGateway:

@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .gateway import GenerationRequest, ModelGateway
+from .jsonio import read_json_object, write_json
 from .prompts import EXTRACT_TRIPLES, REPAIR_NOTE, render
 
 log = logging.getLogger(__name__)
@@ -515,27 +516,9 @@ def graph_from_dict(data: dict) -> KnowledgeGraph:
     return graph
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    """Write one JSON document with stable key order and a trailing newline."""
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     """Persist the graph as a single JSON document with stable key order."""
     write_json(path, graph_to_dict(graph))
-
-
-def read_json_object(path: str | Path, what: str) -> dict:
-    """Parse a JSON file that must hold one object; any failure is a ValidationError."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ValidationError(f"cannot read {what} file {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{what} file {path}: expected a JSON object")
-    return data
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:

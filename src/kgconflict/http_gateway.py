@@ -12,8 +12,7 @@ import logging
 import os
 import time
 from http.client import HTTPException
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
+from urllib.request import HTTPErrorProcessor, Request, build_opener
 
 from .errors import BackendUnavailable, LogprobsUnsupported, ParseError, ValidationError
 from .gateway import (
@@ -34,12 +33,23 @@ API_KEY_ENV = "MODEL_API_KEY"
 _RETRYABLE_STATUSES = {408, 429, 500, 502, 503, 504}
 
 
+class _EveryStatus(HTTPErrorProcessor):  # no status raises, no 3xx is followed
+    def http_response(self, request, response):
+        return response
+
+    https_response = http_response
+
+
+_OPENER = build_opener(_EveryStatus)
+
+
 class HttpGateway:
     """Client for any endpoint speaking the OpenAI chat/embeddings protocol.
 
     Stateless between calls (a new connection per call), so one instance can
     serve concurrent callers. Transient failures are retried ``max_attempts`` times
-    with exponential backoff before raising BackendUnavailable.
+    with exponential backoff before raising BackendUnavailable. A 3xx reply is
+    never followed, so the API key is never sent on to another host.
 
     Tokenization note: the response text is taken from message.content and
     the per-token candidates from the logprobs block; their correspondence
@@ -65,25 +75,17 @@ class HttpGateway:
         self.max_attempts = max_attempts
         self.backoff = backoff
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        return headers
-
     def _post(self, url: str, payload: dict) -> dict:
         data = json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        if api_key := os.environ.get(API_KEY_ENV):
+            headers["Authorization"] = f"Bearer {api_key}"
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                try:
-                    resp = urlopen(Request(url, data, self._headers()), timeout=self.timeout)
-                except HTTPError as exc:  # urlopen raises it for non-2xx replies
-                    resp = exc
-                with resp:
+                with _OPENER.open(Request(url, data, headers), timeout=self.timeout) as resp:
                     status, body = resp.status, resp.read()
             except (OSError, ValueError, HTTPException) as exc:
                 last_error = exc
@@ -126,10 +128,8 @@ class HttpGateway:
         body = self._post(f"{self.embed_url}/embeddings", payload)
         data = body.get("data")
         if not isinstance(data, list) or len(data) != len(texts):
-            raise ParseError(
-                f"embeddings response has {0 if not isinstance(data, list) else len(data)} "
-                f"rows for {len(texts)} inputs"
-            )
+            got = len(data) if isinstance(data, list) else 0
+            raise ParseError(f"embeddings response has {got} rows for {len(texts)} inputs")
         rows = sorted(data, key=_row_index)
         out = []
         for row in rows:

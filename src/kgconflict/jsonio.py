@@ -1,0 +1,54 @@
+"""JSON file reading and writing, with one error mapping per file shape.
+
+A file that must hold one JSON object (a graph or paths document) fails with
+ValidationError; a JSON Lines file (a dataset or a mock script) fails with
+ParseError naming the line.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Iterator
+
+from .errors import ParseError, ValidationError
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write one JSON document with stable key order and a trailing newline."""
+    Path(path).write_text(
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file that must hold one object; any failure is a ValidationError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} file {path}: expected a JSON object")
+    return data
+
+
+def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
+    """Yield (line number, value) for each non-blank line of a JSON Lines file.
+
+    A line that is not JSON, or that the parser refuses (nested too deeply,
+    an integer with too many digits), raises ParseError naming ``what`` and
+    the line number. A file that is not UTF-8 text raises ParseError.
+    """
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    value = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(f"{what} {line_no}: invalid JSON: {exc}") from exc
+                yield line_no, value
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None

@@ -24,7 +24,8 @@ from .errors import (
     ValidationError,
 )
 from .gateway import GenerationRequest, ModelGateway
-from .graph import KnowledgeGraph, _strip_code_fences, check_schema, read_json_object
+from .graph import KnowledgeGraph, _strip_code_fences, check_schema
+from .jsonio import read_json_object
 from .prompts import KEY_ELEMENTS, render
 
 log = logging.getLogger(__name__)

@@ -395,6 +395,43 @@ def test_run_eval_sends_traces_in_dataset_order(tmp_path):
     assert seen == [r.question for r in records]
 
 
+class _SlowCounting:
+    """Counts generate calls, each held a few milliseconds."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def generate(self, req):
+        with self.lock:
+            self.calls += 1
+        time.sleep(0.005)
+        return self.inner.generate(req)
+
+    def embed(self, texts):
+        return self.inner.embed(texts)
+
+
+def test_failing_trace_sink_stops_the_run(tmp_path):
+    entry = fixtures.gen_entry(".", "blue", fixtures.one_token("blue"), regex=True)
+    script = fixtures.write_script(tmp_path / "any.jsonl", [entry])
+    cfg = PipelineConfig(mock_script=str(script), mode="no_rag", parallelism=2)
+    records = [
+        EvalRecord(id=f"r{i}", question=f"Question {i}?", context="",
+                   gold_answers=("blue",))
+        for i in range(40)
+    ]
+    gateway = _SlowCounting(load_mock_script(str(script)))
+
+    def sink(trace):
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        run_eval(records, cfg, gateway, trace_sink=sink)
+    assert gateway.calls < 10  # 40 if the queued records had run
+
+
 def test_csv_and_summary_outputs(tmp_path, replay_config, replay_gateway):
     result = run_eval(_replay_records(), replay_config, replay_gateway)
     csv_path = tmp_path / "results.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -296,22 +297,26 @@ class _Handler(BaseHTTPRequestHandler):
         reply = self.server.responder(self.path, body)
         if reply is None:  # hang up without replying
             return
-        # A bytes payload is sent as is; a third item declares a longer
-        # Content-Length than the body sent, so the reply arrives cut short.
-        status, payload, *declared = reply
+        # A bytes payload is sent as is; a third item holds headers to add or
+        # override (a longer Content-Length than the body cuts the reply short).
+        status, payload, *extra = reply
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json", "Content-Length": str(len(data)),
+                   **(extra[0] if extra else {})}
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(declared[0] if declared else len(data)))
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+
+    do_GET = do_POST  # so a redirect followed as a GET is seen too
 
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture
-def fake_server():
+@contextlib.contextmanager
+def _serving():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     server.seen = []
     server.responder = lambda path, body: (200, {})
@@ -323,6 +328,12 @@ def fake_server():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def fake_server():
+    with _serving() as served:
+        yield served
 
 
 def _chat_payload(text="Paris", top=None, include_logprobs=True):
@@ -447,8 +458,9 @@ def test_http_url_without_scheme_is_backend_unavailable(fake_server, caplog):
 
 @pytest.mark.parametrize("reply", [
     pytest.param(None, id="hang-up"),
-    pytest.param((200, b'{"choices": [', 100), id="truncated-body"),
-    pytest.param((500, b"overloaded", 100), id="truncated-error-body"),
+    pytest.param((200, b'{"choices": [', {"Content-Length": "100"}), id="truncated-body"),
+    pytest.param((500, b"overloaded", {"Content-Length": "100"}),
+                 id="truncated-error-body"),
 ])
 def test_http_broken_reply_is_retried(fake_server, reply):
     server, url = fake_server
@@ -466,6 +478,23 @@ def test_http_2xx_other_than_200_is_backend_unavailable(fake_server):
     with pytest.raises(BackendUnavailable, match="HTTP 204"):
         gw.generate(GenerationRequest(prompt="q"))
     assert len(server.seen) == 1
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_http_redirect_is_not_followed(fake_server, monkeypatch, status):
+    server, url = fake_server
+    monkeypatch.setenv("MODEL_API_KEY", "sekret")
+    with _serving() as (elsewhere, elsewhere_url):
+        elsewhere.responder = lambda path, body: (200, _chat_payload())
+        server.responder = lambda path, body: (
+            status, b"moved", {"Location": f"{elsewhere_url}/chat/completions"}
+        )
+        gw = HttpGateway(url, model_id="m1", backoff=0.0, max_attempts=3)
+        with pytest.raises(BackendUnavailable, match=f"HTTP {status} .*moved"):
+            gw.generate(GenerationRequest(prompt="q"))
+    assert len(server.seen) == 1
+    assert server.seen[0]["headers"]["Authorization"] == "Bearer sekret"
+    assert elsewhere.seen == []
 
 
 def test_http_non_utf8_error_body_is_backend_unavailable(fake_server):
