@@ -609,3 +609,33 @@ def test_config_flags_match_config_keys():
         for sub in subparsers.choices.values()
     ))
     assert common - {"help", "config", "out"} == ALL_KEYS
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_artifacts_match_golden_copies(replay_cli_files):
+    """The replay fixture's graph, paths and resolve JSON equal the checked-in
+    bytes; the first trace record matches every key of its golden copy, which
+    leaves out ``timings`` so that new trace keys need no golden edit."""
+    files, tmp = replay_cli_files, replay_cli_files["tmp"]
+    mock = ["--mock-script", files["script"]]
+    assert main(["build-graph", *mock, "--context", files["context"],
+                 "--out", str(tmp / "graph.json")]) == 0
+    assert main(["retrieve-paths", *mock, "--graph", str(tmp / "graph.json"),
+                 "--question", fixtures.REPLAY_QUESTION,
+                 "--out", str(tmp / "paths.json")]) == 0
+    assert main(["resolve", *mock, "--paths", str(tmp / "paths.json"),
+                 "--out", str(tmp / "resolve.json")]) == 0
+    assert main(["eval", *mock, "--dataset", files["dataset"], "--trace",
+                 "--out", str(tmp / "run")]) == 0
+    for name in ("graph.json", "paths.json", "resolve.json"):
+        assert (tmp / name).read_bytes() == (_GOLDEN / name).read_bytes(), name
+    trace_text = (tmp / "run" / "trace.jsonl").read_text(encoding="utf-8")
+    record = json.loads(trace_text.splitlines()[0])
+    golden = json.loads((_GOLDEN / "trace_record.json").read_text(encoding="utf-8"))
+    assert "timings" not in golden
+    for key, value in golden.items():
+        # Compared as JSON text, so 1 and 1.0 differ as they do in the file.
+        assert json.dumps(record[key], sort_keys=True) == json.dumps(
+            value, sort_keys=True), key
