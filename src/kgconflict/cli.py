@@ -1,8 +1,8 @@
 """Command-line interface: one subcommand per pipeline stage plus eval.
 
-Exit codes: 0 success, 1 validation error, 2 backend failure, 3 dataset
-error. The model API key is read from the MODEL_API_KEY environment
-variable.
+Exit codes: 0 success, 1 validation error or an output that cannot be
+written, 2 backend failure, 3 dataset error. The model API key is read
+from the MODEL_API_KEY environment variable.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import ALL_KEYS, MODES, PipelineConfig, parse_config
@@ -140,7 +141,7 @@ def _cmd_retrieve_paths(args: argparse.Namespace) -> int:
     gateway = _gateway_or_exit(cfg)
     trace = QueryTrace(mode=cfg.mode, question=args.question)
     p_super = retrieve_phase(args.question, graph, cfg, gateway, trace)
-    traced = trace.to_dict()
+    traced = asdict(trace)
     payload = {
         key: traced[key]
         for key in ("question", "key_elements", "important_entities",
@@ -166,7 +167,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         "response": outcome.response,
         "fallback_used": outcome.fallback_used,
         "corrective_paths": [list(p.nodes) for p in outcome.corrective_paths],
-        "report": outcome.report.to_dict(),
+        "report": asdict(outcome.report),
     }
     if args.out:
         write_json(args.out, payload)
@@ -182,7 +183,7 @@ def _cmd_answer(args: argparse.Namespace) -> int:
     gateway = _gateway_or_exit(cfg)
     response, trace = answer_query(args.question, context, cfg, gateway)
     if cfg.trace and args.out:
-        _append_trace(Path(args.out), trace.to_dict())
+        _append_trace(Path(args.out), asdict(trace))
     print(response)
     return EXIT_OK
 
@@ -199,7 +200,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trace_sink = (lambda trace: _append_trace(out_dir, trace.to_dict())) if cfg.trace else None
+    trace_sink = (lambda trace: _append_trace(out_dir, asdict(trace))) if cfg.trace else None
     result = run_eval(records, cfg, gateway, trace_sink=trace_sink)
     write_results_csv(result, out_dir / "results.csv")
     write_summary_json(result, out_dir / "summary.json")
@@ -263,6 +264,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BACKEND
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    # Every input maps its own OSError at the call site, so one reaching this
+    # handler comes from writing an output (--out a directory, a full disk).
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -6,8 +6,9 @@ a comment line, values may be quoted. Every key has a CLI flag twin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .conflict import FALLBACK_TOP_DELTA, ResolutionConfig
 from .errors import ValidationError
@@ -86,42 +87,34 @@ class PipelineConfig:
         )
 
 
-_STR_KEYS = {
-    "mock_script", "model_url", "model_id", "embed_url", "embed_model_id",
-    "mode", "fallback",
+# Each flat key's type, from the config fields with retrieval's inlined;
+# ``float | None`` (tau) is a float key.
+_KEY_TYPES = {
+    key: (get_args(hint) or (hint,))[0]
+    for cls in (PipelineConfig, RetrievalConfig)
+    for key, hint in get_type_hints(cls).items()
+    if key != "retrieval"
 }
-_FLOAT_KEYS = {"tau", "alpha", "beta", "temperature"}
-_INT_KEYS = {
-    "k_similar", "paths_k", "logprob_top_k", "max_tokens",
-    "max_segment_tokens", "parallelism",
-}
-_BOOL_KEYS = {"trace", "skip_errors"}
-ALL_KEYS = _STR_KEYS | _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS
+_RETRIEVAL_KEYS = {f.name for f in fields(RetrievalConfig)}
+ALL_KEYS = set(_KEY_TYPES)
+_EXPECTS = {float: "a number", int: "an integer"}
 
 
 def _coerce(key: str, raw: str, where: str) -> object:
-    if key in _STR_KEYS:
-        return raw
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(
-                f"{where}: {key} expects a number, got {raw!r}"
-            ) from None
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(
-                f"{where}: {key} expects an integer, got {raw!r}"
-            ) from None
-    lowered = raw.casefold()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValidationError(f"{where}: {key} expects a boolean, got {raw!r}")
+    kind = _KEY_TYPES[key]
+    if kind is bool:
+        lowered = raw.casefold()
+        if lowered in ("true", "1", "yes"):
+            return True
+        if lowered in ("false", "0", "no"):
+            return False
+        raise ValidationError(f"{where}: {key} expects a boolean, got {raw!r}")
+    try:
+        return kind(raw)  # a str key keeps the text as it is
+    except ValueError:
+        raise ValidationError(
+            f"{where}: {key} expects {_EXPECTS[kind]}, got {raw!r}"
+        ) from None
 
 
 def _read_config_file(path: str | Path) -> dict[str, object]:
@@ -152,7 +145,7 @@ def _build(values: dict[str, object]) -> PipelineConfig:
     retrieval_kwargs = {}
     plain: dict[str, object] = {}
     for key, value in values.items():
-        if key in ("alpha", "beta", "k_similar", "paths_k"):
+        if key in _RETRIEVAL_KEYS:
             retrieval_kwargs[key] = value
         else:
             plain[key] = value

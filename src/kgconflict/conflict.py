@@ -87,23 +87,6 @@ class EntropyReport:
     def corrective_indexes(self) -> list[int]:
         return [p.index for p in self.per_path if p.corrective]
 
-    def to_dict(self) -> dict:
-        return {
-            "h_param": self.h_param,
-            "tau": self.tau,
-            "parametric_answer": self.parametric_answer,
-            "augmented_answers": list(self.augmented_answers),
-            "per_path": [
-                {
-                    "index": p.index,
-                    "h_aug": p.h_aug,
-                    "delta_h": p.delta_h,
-                    "corrective": p.corrective,
-                }
-                for p in self.per_path
-            ],
-        }
-
 
 @dataclass
 class ResolutionOutcome:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .gateway import GenerationRequest, ModelGateway
-from .jsonio import read_json_object, write_json
+from .jsonio import decode, read_json_object, write_json
 from .prompts import EXTRACT_TRIPLES, REPAIR_NOTE, render
 
 log = logging.getLogger(__name__)
@@ -405,71 +405,17 @@ def build_graph(extracted: Iterable[TripleExtraction]) -> KnowledgeGraph:
     return graph
 
 
-def triple_to_dict(triple: Triple) -> dict:
-    return {
-        "head": triple.head,
-        "relation": triple.relation,
-        "tail": triple.tail,
-        "source_segment": triple.source_segment,
-        "evidence": triple.evidence,
-    }
-
-
 def graph_to_dict(graph: KnowledgeGraph) -> dict:
+    """The rows' fields, sorted by id, with source segments as sorted lists."""
+    def row(item: Entity | Relation) -> dict:
+        return {**asdict(item), "source_segments": sorted(item.source_segments)}
+
     return {
         "schema_version": GRAPH_SCHEMA_VERSION,
-        "entities": [
-            {
-                "id": e.id,
-                "name": e.name,
-                "surface_forms": list(e.surface_forms),
-                "description": e.description,
-                "source_segments": sorted(e.source_segments),
-            }
-            for e in sorted(graph.entities.values(), key=lambda e: e.id)
-        ],
-        "relations": [
-            {
-                "id": r.id,
-                "name": r.name,
-                "description": r.description,
-                "source_segments": sorted(r.source_segments),
-            }
-            for r in sorted(graph.relations.values(), key=lambda r: r.id)
-        ],
-        "triples": [triple_to_dict(t) for t in graph.triples],
+        "entities": [row(graph.entities[eid]) for eid in sorted(graph.entities)],
+        "relations": [row(graph.relations[rid]) for rid in sorted(graph.relations)],
+        "triples": [asdict(t) for t in graph.triples],
     }
-
-
-_TYPE_NAMES = {str: "a string", int: "an integer", (int, float): "a number",
-               list: "a list", (str, type(None)): "a string or null"}
-_GRAPH_SCHEMA = {
-    "entities": [{"id": str, "name": str, "surface_forms": [str],
-                  "description": str, "source_segments": [int]}],
-    "relations": [{"id": str, "name": str, "description": str,
-                   "source_segments": [int]}],
-    "triples": [{"head": str, "relation": str, "tail": str,
-                 "source_segment": int, "evidence": str}],
-}
-
-
-def check_schema(value, schema, where: str):
-    """``value`` once it matches ``schema``, else ValidationError naming ``where``.
-
-    A schema is a type or types (a bool is no number), ``[schema]`` for a list
-    or a dict of key schemas for an object; a missing key raises KeyError.
-    """
-    if isinstance(schema, dict):
-        for key, sub in schema.items():
-            check_schema(value[key], sub, f"{where}.{key}")
-    elif isinstance(schema, list):
-        for i, item in enumerate(check_schema(value, list, where)):
-            check_schema(item, schema[0], f"{where}[{i}]")
-    elif isinstance(value, bool) or not isinstance(value, schema):
-        raise ValidationError(
-            f"{where}: expected {_TYPE_NAMES[schema]}, got {type(value).__name__}"
-        )
-    return value
 
 
 def graph_from_dict(data: dict) -> KnowledgeGraph:
@@ -478,41 +424,18 @@ def graph_from_dict(data: dict) -> KnowledgeGraph:
         raise SchemaVersionMismatch(
             f"graph schema version {version!r}, expected {GRAPH_SCHEMA_VERSION}"
         )
+    entities = decode(list[Entity], data.get("entities"), "graph.entities")
+    relations = decode(list[Relation], data.get("relations"), "graph.relations")
+    triples = decode(list[Triple], data.get("triples"), "graph.triples")
     try:
-        check_schema(data, _GRAPH_SCHEMA, "graph")
-        entities = {
-            raw["id"]: Entity(
-                id=raw["id"],
-                name=raw["name"],
-                surface_forms=tuple(raw["surface_forms"]),
-                description=raw["description"],
-                source_segments=frozenset(raw["source_segments"]),
-            )
-            for raw in data["entities"]
-        }
-        relations = {
-            raw["id"]: Relation(
-                id=raw["id"],
-                name=raw["name"],
-                description=raw["description"],
-                source_segments=frozenset(raw["source_segments"]),
-            )
-            for raw in data["relations"]
-        }
-        triples = [
-            Triple(
-                head=raw["head"],
-                relation=raw["relation"],
-                tail=raw["tail"],
-                source_segment=raw["source_segment"],
-                evidence=raw["evidence"],
-            )
-            for raw in data["triples"]
-        ]
-        graph = KnowledgeGraph(entities=entities, relations=relations, triples=triples)
-        graph.validate()
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValidationError(f"malformed graph document: {exc!r}") from None
+        graph = KnowledgeGraph(
+            entities={e.id: e for e in entities},
+            relations={r.id: r for r in relations},
+            triples=triples,
+        )
+    except KeyError as exc:  # a triple's head or tail is no entity of the file
+        raise ValidationError(f"graph: a triple names unknown entity {exc}") from None
+    graph.validate()
     return graph
 
 

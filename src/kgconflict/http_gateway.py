@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from http.client import HTTPException
@@ -138,7 +139,7 @@ class HttpGateway:
                 raise ParseError("embeddings response row lacks 'embedding'")
             out.append(
                 EmbeddingVector(
-                    values=tuple(float(v) for v in values),
+                    values=tuple(_number(v, "embedding value") for v in values),
                     model_id=self.embed_model_id,
                 )
             )
@@ -152,6 +153,16 @@ def _object(value: object, what: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"{what} is not a JSON object")
     return value
+
+
+def _number(value: object, what: str) -> float:
+    """A reply number as a finite float; anything else is a ParseError."""
+    try:
+        if type(value) in (int, float) and math.isfinite(number := float(value)):
+            return number  # a bool is no number
+    except OverflowError:
+        pass
+    raise ParseError(f"{what} {value!r:.40} is not a finite number")
 
 
 def _row_index(row: object) -> int:
@@ -188,9 +199,9 @@ def _parse_chat_response(
     for item in content:
         item = _object(item, "logprobs content entry")
         token = item.get("token")
-        chosen_lp = item.get("logprob")
-        if not isinstance(token, str) or not isinstance(chosen_lp, (int, float)):
-            raise ParseError("logprobs content entry lacks token/logprob")
+        if not isinstance(token, str):
+            raise ParseError("logprobs content entry lacks token")
+        chosen_lp = _number(item.get("logprob"), "logprobs content entry logprob")
         raw_top = item.get("top_logprobs") or []
         if not isinstance(raw_top, list):
             raise ParseError("logprobs content entry's top_logprobs is not a list")
@@ -198,18 +209,18 @@ def _parse_chat_response(
         for cand in raw_top:
             cand = _object(cand, "top_logprobs entry")
             ctok = cand.get("token")
-            clp = cand.get("logprob")
-            if not isinstance(ctok, str) or not isinstance(clp, (int, float)):
-                raise ParseError("top_logprobs entry lacks token/logprob")
+            if not isinstance(ctok, str):
+                raise ParseError("top_logprobs entry lacks token")
+            clp = _number(cand.get("logprob"), "top_logprobs entry logprob")
             # Float noise can push a certain token's logprob slightly above 0.
-            cands.append(TokenCandidate(token=ctok, logprob=min(float(clp), 0.0)))
+            cands.append(TokenCandidate(token=ctok, logprob=min(clp, 0.0)))
         if not any(c.token == token for c in cands):
             # Guarantee the chosen token carries its own logprob; evict the
             # weakest candidate rather than exceed the top-k length bound.
             if len(cands) >= req.logprob_top_k:
                 cands.sort(key=lambda c: c.logprob, reverse=True)
                 cands = cands[: req.logprob_top_k - 1]
-            cands.append(TokenCandidate(token=token, logprob=min(float(chosen_lp), 0.0)))
+            cands.append(TokenCandidate(token=token, logprob=min(chosen_lp, 0.0)))
         positions.append(TokenPosition(token=token, candidates=tuple(cands)))
 
     tokens = TokenLogprobs(positions=tuple(positions))

@@ -2,14 +2,18 @@
 
 A file that must hold one JSON object (a graph or paths document) fails with
 ValidationError; a JSON Lines file (a dataset or a mock script) fails with
-ParseError naming the line.
+ParseError naming the line. ``decode`` turns parsed JSON back into the
+dataclasses that ``dataclasses.asdict`` wrote out.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Iterator
+from types import UnionType
+from typing import Iterator, Union, get_args, get_origin, get_type_hints
 
 from .errors import ParseError, ValidationError
 
@@ -52,3 +56,54 @@ def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[int, object]]
                 yield line_no, value
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+_NAMES = {str: "a string", int: "an integer", float: "a number", type(None): "null"}
+_SEQUENCES = (list, tuple, frozenset)
+_type_hints = cache(get_type_hints)
+
+
+def _describe(hint) -> str:
+    if get_origin(hint) in (Union, UnionType):
+        return " or ".join(map(_describe, get_args(hint)))
+    if is_dataclass(hint):
+        return "an object"
+    return "a list" if get_origin(hint) in _SEQUENCES else _NAMES[hint]
+
+
+def decode(hint, value, where: str):
+    """Parsed JSON ``value`` read as type ``hint``, else ValidationError at ``where``.
+
+    A dataclass reads an object, and a field missing from it takes its default
+    or is an error. ``list[X]``, ``tuple[X, ...]`` and ``frozenset[X]`` read a
+    list, or a tuple as ``dataclasses.asdict`` leaves it. ``X | None`` reads
+    null or an X, and a float reads any number. A bool is never a number.
+    """
+    declared = hint
+    if get_origin(hint) in (Union, UnionType):  # only ``X | None`` occurs
+        if value is None:
+            return None
+        (hint,) = [option for option in get_args(hint) if option is not type(None)]
+    origin = get_origin(hint)
+    if is_dataclass(hint):
+        accepted = isinstance(value, dict)
+    elif origin in _SEQUENCES:
+        accepted = isinstance(value, (list, tuple))
+    else:  # exact types: JSON gives no subclasses, and so a bool is no int
+        accepted = type(value) is hint or (hint is float and type(value) is int)
+    if not accepted:
+        raise ValidationError(
+            f"{where}: expected {_describe(declared)}, got {type(value).__name__}"
+        )
+    if origin in _SEQUENCES:
+        item = get_args(hint)[0]
+        return origin(decode(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if not is_dataclass(hint):
+        return value
+    hints, kwargs = _type_hints(hint), {}
+    for f in fields(hint):
+        if f.name in value:
+            kwargs[f.name] = decode(hints[f.name], value[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{where}: missing field {f.name!r}")
+    return hint(**kwargs)

@@ -30,7 +30,6 @@ from .graph import (
     build_graph,
     extract_triples,
     segment,
-    triple_to_dict,
 )
 from .http_gateway import HttpGateway
 from .retrieval import (
@@ -39,8 +38,6 @@ from .retrieval import (
     contextualize,
     enumerate_paths,
     extract_key_elements,
-    key_elements_to_dict,
-    path_to_dict,
     score_path,
     select_super_paths,
     top_k_important,
@@ -51,7 +48,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class QueryTrace:
-    """Complete audit trail of one query: every stage's decisions."""
+    """Complete audit trail of one query: every stage's decisions.
+
+    ``dataclasses.asdict`` of it is one ``trace.jsonl`` record, so a new field
+    is a new trace key.
+    """
 
     mode: str
     question: str
@@ -68,30 +69,6 @@ class QueryTrace:
     final_context: str = ""
     fallback_used: str = ""
     timings: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "question": self.question,
-            "segments": [
-                {"id": s.id, "text": s.text, "char_range": list(s.char_range)}
-                for s in self.segments
-            ],
-            "triples": [triple_to_dict(t) for t in self.triples],
-            "graph_stats": dict(self.graph_stats),
-            "key_elements": None
-            if self.key_elements is None
-            else key_elements_to_dict(self.key_elements),
-            "important_entities": [list(pair) for pair in self.important_entities],
-            "important_relations": [list(pair) for pair in self.important_relations],
-            "p_init_count": self.p_init_count,
-            "p_super": [path_to_dict(p) for p in self.p_super],
-            "report": None if self.report is None else self.report.to_dict(),
-            "response": self.response,
-            "final_context": self.final_context,
-            "fallback_used": self.fallback_used,
-            "timings": dict(self.timings),
-        }
 
 
 def build_gateway(cfg: PipelineConfig) -> ModelGateway:

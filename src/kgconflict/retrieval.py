@@ -24,8 +24,8 @@ from .errors import (
     ValidationError,
 )
 from .gateway import GenerationRequest, ModelGateway
-from .graph import KnowledgeGraph, _strip_code_fences, check_schema
-from .jsonio import read_json_object
+from .graph import KnowledgeGraph, _strip_code_fences
+from .jsonio import decode, read_json_object
 from .prompts import KEY_ELEMENTS, render
 
 log = logging.getLogger(__name__)
@@ -54,14 +54,6 @@ class QueryKeyElements:
             if text:
                 seen.setdefault(text)
         return list(seen)
-
-
-def key_elements_to_dict(key: QueryKeyElements) -> dict:
-    return {
-        "target_entities": list(key.target_entities),
-        "target_relations": list(key.target_relations),
-        "intent": key.intent,
-    }
 
 
 @dataclass(frozen=True)
@@ -156,51 +148,6 @@ class ReasoningPath:
                 raise ValidationError(f"path edge {i}: relation id mismatch")
 
 
-def path_to_dict(path: ReasoningPath) -> dict:
-    return {
-        "nodes": list(path.nodes),
-        "edges": [
-            {
-                "relation": e.relation,
-                "triple_index": e.triple_index,
-                "direction": e.direction,
-            }
-            for e in path.edges
-        ],
-        "score": path.score,
-        "rendered_context": path.rendered_context,
-    }
-
-
-_PATH_SCHEMA = {
-    "nodes": [str], "score": (int, float), "rendered_context": (str, type(None)),
-    "edges": [{"relation": str, "triple_index": int, "direction": str}],
-}
-
-
-def path_from_dict(data: dict, at: str = "path") -> ReasoningPath:
-    """Inverse of ``path_to_dict``; a bad entry raises ValidationError naming ``at``."""
-    try:
-        data = check_schema(
-            {"score": 0.0, "rendered_context": None, **data}, _PATH_SCHEMA, at
-        )
-        return ReasoningPath(
-            nodes=tuple(data["nodes"]),
-            edges=tuple(
-                PathEdge(
-                    relation=e["relation"],
-                    triple_index=e["triple_index"],
-                    direction=e["direction"],
-                )
-                for e in data["edges"]
-            ),
-            score=data["score"],
-            rendered_context=data["rendered_context"],
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValidationError(f"malformed path entry: {exc!r}") from None
-
-
 def load_paths(path: str | Path) -> tuple[str | None, list[ReasoningPath]]:
     """Read a paths file written by ``retrieve-paths``: (question, paths).
 
@@ -214,12 +161,10 @@ def load_paths(path: str | Path) -> tuple[str | None, list[ReasoningPath]]:
         raise SchemaVersionMismatch(
             f"paths schema version {version!r}, expected {PATHS_SCHEMA_VERSION}"
         )
-    data = check_schema({"question": None, "paths": None, **data},
-                        {"question": (str, type(None)), "paths": list}, "paths file")
-    return data["question"], [
-        path_from_dict(raw, f"paths file.paths[{i}]")
-        for i, raw in enumerate(data["paths"])
-    ]
+    return (
+        decode(str | None, data.get("question"), "paths file.question"),
+        decode(list[ReasoningPath], data.get("paths"), "paths file.paths"),
+    )
 
 
 def _normed(v: np.ndarray) -> tuple[np.ndarray, float]:

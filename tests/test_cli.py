@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import io
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -324,7 +325,7 @@ def test_retrieve_paths_writes_the_pipeline_trace_paths(replay_cli_files):
     payload = json.loads(paths_out.read_text(encoding="utf-8"))
     cfg = PipelineConfig(mock_script=replay_cli_files["script"])
     _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg)
-    traced = json.loads(json.dumps(trace.to_dict()))
+    traced = json.loads(json.dumps(asdict(trace)))
     assert payload["paths"] == traced["p_super"]
     for key in ("key_elements", "important_entities", "important_relations",
                 "p_init_count"):
@@ -597,6 +598,45 @@ def test_arbitrary_input_file_exits_with_its_code(valid_inputs, kind, data):
     else:
         assert code == _INPUT_CODES[kind]
         _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("subcommand", ["build-graph", "retrieve-paths", "resolve",
+                                        "answer", "eval"])
+def test_output_that_cannot_be_written_exits_one(valid_inputs, tmp_path, subcommand):
+    files = valid_inputs
+    argv = {
+        "build-graph": ["--context", files["context"]],
+        "retrieve-paths": ["--graph", files["graph"],
+                           "--question", fixtures.REPLAY_QUESTION],
+        "resolve": ["--paths", files["paths"]],
+        "answer": ["--question", fixtures.REPLAY_QUESTION,
+                   "--context", files["context"], "--trace"],
+        "eval": ["--dataset", files["dataset"]],
+    }[subcommand]
+    # A JSON output named by a directory; a run directory named by a file.
+    out = tmp_path / "taken"
+    if subcommand in ("answer", "eval"):
+        out.write_text("", encoding="utf-8")
+    else:
+        out.mkdir()
+    code, err = _run([subcommand, "--mock-script", files["script"], *argv,
+                      "--out", str(out)])
+    assert code == 1
+    _assert_one_error_line(err)
+    assert "cannot write output" in err
+
+
+@pytest.mark.parametrize("field", ["head", "tail", "relation"])
+def test_graph_triple_naming_no_entity_or_relation_exits_one(valid_inputs, tmp_path,
+                                                             field):
+    data = json.loads(Path(valid_inputs["graph"]).read_text(encoding="utf-8"))
+    data["triples"][0][field] = "no such id"
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code, err = _run(_argv_reading(valid_inputs, "graph", str(bad)))
+    assert code == 1
+    _assert_one_error_line(err)
+    assert "no such id" in err
 
 
 def test_config_flags_match_config_keys():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -406,7 +407,7 @@ def test_entropy_report_round_trips_via_dict(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([True, False]))
     outcome = resolve("q?", _paths(2), gw, ResolutionConfig(tau=1.0))
     report = outcome.report
-    assert report.to_dict()["per_path"] == [
+    assert asdict(report)["per_path"] == [
         {"index": p.index, "h_aug": p.h_aug, "delta_h": p.delta_h,
          "corrective": p.corrective}
         for p in report.per_path

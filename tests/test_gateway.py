@@ -584,6 +584,22 @@ def test_http_non_object_json_is_parse_error(fake_server, call, payload):
     pytest.param("embed", {"data": [{"index": True, "embedding": [1.0]},
                                     {"index": 0, "embedding": [2.0]}]},
                  "index True is not an integer", id="bool-embeddings-index"),
+    pytest.param("generate", _with_logprobs_content(
+        {"token": "Paris", "logprob": -10**400, "top_logprobs": []}),
+        "logprob -1000.* is not a finite number", id="logprob-overflow"),
+    pytest.param("generate", _with_logprobs_content(
+        {"token": "Paris", "logprob": -0.01,
+         "top_logprobs": [{"token": "Paris", "logprob": True}]}),
+        "logprob True is not a finite number", id="bool-candidate-logprob"),
+    pytest.param("embed", {"data": [{"index": 0, "embedding": ["abc"]},
+                                    {"index": 1, "embedding": [2.0]}]},
+                 "value 'abc' is not a finite number", id="string-embedding-value"),
+    pytest.param("embed", {"data": [{"index": 0, "embedding": [None]},
+                                    {"index": 1, "embedding": [2.0]}]},
+                 "value None is not a finite number", id="null-embedding-value"),
+    pytest.param("embed", {"data": [{"index": 0, "embedding": [float("nan")]},
+                                    {"index": 1, "embedding": [2.0]}]},
+                 "value nan is not a finite number", id="nan-embedding-value"),
 ])
 def test_http_malformed_reply_is_parse_error(fake_server, call, payload, message):
     server, url = fake_server

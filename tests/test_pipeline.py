@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -19,7 +19,8 @@ from kgconflict import (
     resolve,
 )
 from kgconflict.config import MODEL_TAU_DEFAULTS
-from kgconflict.retrieval import path_from_dict
+from kgconflict.jsonio import decode
+from kgconflict.retrieval import ReasoningPath
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ def test_answer_query_is_pure_under_mock(replay_config, replay_gateway):
     second = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
                           replay_config, replay_gateway)
     assert first[0] == second[0]
-    assert _strip_timings(first[1].to_dict()) == _strip_timings(second[1].to_dict())
+    assert _strip_timings(asdict(first[1])) == _strip_timings(asdict(second[1]))
 
 
 def test_trace_contains_scores_and_deltas_for_every_super_path(
@@ -140,21 +141,21 @@ def test_trace_replays_resolution(replay_config, replay_gateway, tmp_path):
         fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
         replay_config, replay_gateway,
     )
-    dumped = trace.to_dict()
-    rebuilt = [path_from_dict(raw) for raw in dumped["p_super"]]
+    dumped = asdict(trace)
+    rebuilt = decode(list[ReasoningPath], dumped["p_super"], "p_super")
     outcome = resolve(
         dumped["question"], rebuilt, replay_gateway,
         replay_config.resolution(),
         raw_context=fixtures.REPLAY_CONTEXT,
     )
     assert outcome.response == response
-    assert outcome.report.to_dict() == dumped["report"]
+    assert asdict(outcome.report) == dumped["report"]
 
 
 def test_trace_serialization_is_json_safe(replay_config, replay_gateway):
     _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
                             replay_config, replay_gateway)
-    encoded = json.dumps(trace.to_dict(), sort_keys=True)
+    encoded = json.dumps(asdict(trace), sort_keys=True)
     decoded = json.loads(encoded)
     assert decoded["response"] == trace.response
     assert decoded["graph_stats"]["entities"] == 6
