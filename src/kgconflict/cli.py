@@ -14,7 +14,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import ALL_KEYS, MODES, PipelineConfig, parse_config
+from .config import ALL_KEYS, KEY_TYPES, MODES, PipelineConfig, parse_config
+from .conflict import FALLBACKS
 from .conflict import resolve as resolve_paths
 from .errors import (
     BackendUnavailable,
@@ -63,28 +64,19 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(EXIT_VALIDATION, f"usage error: {message}")
 
 
+_CHOICES = {"mode": MODES, "fallback": FALLBACKS}
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per config key: ``--max-tokens`` for max_tokens; k_similar is ``--k``."""
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--model-url", dest="model_url")
-    parser.add_argument("--model-id", dest="model_id")
-    parser.add_argument("--embed-url", dest="embed_url")
-    parser.add_argument("--embed-model-id", dest="embed_model_id")
-    parser.add_argument("--mock-script", dest="mock_script")
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--k", dest="k_similar", type=int)
-    parser.add_argument("--paths-k", dest="paths_k", type=int)
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--fallback", choices=["top_delta", "raw_context"])
-    parser.add_argument("--max-segment-tokens", dest="max_segment_tokens", type=int)
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int)
-    parser.add_argument("--logprob-top-k", dest="logprob_top_k", type=int)
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--parallelism", type=int)
-    parser.add_argument("--trace", action="store_const", const=True, default=None)
-    parser.add_argument("--skip-errors", dest="skip_errors",
-                        action="store_const", const=True, default=None)
+    for key, kind in KEY_TYPES.items():
+        flag = "--k" if key == "k_similar" else "--" + key.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, dest=key, action="store_const", const=True,
+                                default=None)
+        else:
+            parser.add_argument(flag, dest=key, type=kind, choices=_CHOICES.get(key))
     parser.add_argument("--out", help="output file or directory")
 
 

@@ -6,12 +6,13 @@ a comment line, values may be quoted. Every key has a CLI flag twin.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .conflict import FALLBACK_TOP_DELTA, ResolutionConfig
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .retrieval import RetrievalConfig
 
 MODES = ("full", "no_kg", "no_conflict", "standard_rag", "no_rag")
@@ -51,19 +52,15 @@ class PipelineConfig:
     trace: bool = False
     skip_errors: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(
                 f"mode: {self.mode!r} is not one of {', '.join(MODES)}"
             )
-        self.resolution().validate()
-        if self.max_segment_tokens < 1:
-            raise ValidationError(
-                f"max_segment_tokens: must be >= 1, got {self.max_segment_tokens}"
-            )
-        if self.parallelism < 1:
-            raise ValidationError(f"parallelism: must be >= 1, got {self.parallelism}")
-        self.retrieval.validate()
+        self.resolution()  # building it checks the conflict-stage fields
+        require(self.max_segment_tokens >= 1, "max_segment_tokens", ">= 1",
+                self.max_segment_tokens)
+        require(self.parallelism >= 1, "parallelism", ">= 1", self.parallelism)
 
     @property
     def effective_tau(self) -> float:
@@ -88,33 +85,32 @@ class PipelineConfig:
 
 
 # Each flat key's type, from the config fields with retrieval's inlined;
-# ``float | None`` (tau) is a float key.
-_KEY_TYPES = {
+# ``float | None`` (tau) is a float key. The CLI makes one flag per key.
+KEY_TYPES = {
     key: (get_args(hint) or (hint,))[0]
     for cls in (PipelineConfig, RetrievalConfig)
     for key, hint in get_type_hints(cls).items()
     if key != "retrieval"
 }
 _RETRIEVAL_KEYS = {f.name for f in fields(RetrievalConfig)}
-ALL_KEYS = set(_KEY_TYPES)
-_EXPECTS = {float: "a number", int: "an integer"}
+ALL_KEYS = set(KEY_TYPES)
+_EXPECTS = {bool: "a boolean", float: "a number", int: "an integer", str: "a string"}
 
 
 def _coerce(key: str, raw: str, where: str) -> object:
-    kind = _KEY_TYPES[key]
+    kind = KEY_TYPES[key]
     if kind is bool:
         lowered = raw.casefold()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
-        raise ValidationError(f"{where}: {key} expects a boolean, got {raw!r}")
-    try:
-        return kind(raw)  # a str key keeps the text as it is
-    except ValueError:
-        raise ValidationError(
-            f"{where}: {key} expects {_EXPECTS[kind]}, got {raw!r}"
-        ) from None
+    else:
+        try:
+            return kind(raw)  # a str key keeps the text as it is
+        except ValueError:
+            pass
+    raise ValidationError(f"{where}: {key} expects {_EXPECTS[kind]}, got {raw!r}")
 
 
 def _read_config_file(path: str | Path) -> dict[str, object]:
@@ -141,26 +137,14 @@ def _read_config_file(path: str | Path) -> dict[str, object]:
     return values
 
 
-def _build(values: dict[str, object]) -> PipelineConfig:
-    retrieval_kwargs = {}
-    plain: dict[str, object] = {}
-    for key, value in values.items():
-        if key in _RETRIEVAL_KEYS:
-            retrieval_kwargs[key] = value
-        else:
-            plain[key] = value
-    cfg = PipelineConfig(retrieval=RetrievalConfig(**retrieval_kwargs), **plain)
-    cfg.validate()
-    return cfg
-
-
 def parse_config(
     path: str | Path | None = None, overrides: dict[str, object] | None = None
 ) -> PipelineConfig:
     """Build a validated config from an optional file plus CLI overrides.
 
-    Override values win over file values; both win over defaults. Raises
-    ValidationError with a field-path message on any bad key or bound.
+    Override values win over file values; both win over defaults. An
+    override has its key's type, an int serving for a float. Raises
+    ValidationError with a field-path message on any bad key, type or bound.
     """
     values = _read_config_file(path) if path is not None else {}
     for key, value in (overrides or {}).items():
@@ -168,5 +152,13 @@ def parse_config(
             continue
         if key not in ALL_KEYS:
             raise ValidationError(f"override: unknown key {key!r}")
+        kind = KEY_TYPES[key]
+        if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)  # as a config file or a flag gives it
+        if type(value) is not kind:
+            raise ValidationError(
+                f"override: {key} expects {_EXPECTS[kind]}, got {value!r}"
+            )
         values[key] = value
-    return _build(values)
+    retrieval = {key: values.pop(key) for key in _RETRIEVAL_KEYS & values.keys()}
+    return PipelineConfig(retrieval=RetrievalConfig(**retrieval), **values)

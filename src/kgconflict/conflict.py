@@ -16,7 +16,7 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .errors import EmptySequence, FallbackExhausted, ValidationError
+from .errors import EmptySequence, FallbackExhausted, ValidationError, require
 from .gateway import GenerationRequest, GenerationResult, ModelGateway, TokenLogprobs
 from .prompts import ANSWER_AUGMENTED, ANSWER_PARAMETRIC, render
 from .retrieval import ReasoningPath
@@ -29,6 +29,7 @@ CONTEXT_DELIMITER = "\n-----\n"
 FALLBACK_NONE = "none"
 FALLBACK_TOP_DELTA = "top_delta"
 FALLBACK_RAW_CONTEXT = "raw_context"
+FALLBACKS = (FALLBACK_TOP_DELTA, FALLBACK_RAW_CONTEXT)  # the configurable ones
 
 
 @dataclass(frozen=True)
@@ -42,26 +43,17 @@ class ResolutionConfig:
     temperature: float = 0.0
     model_id: str | None = None
 
-    def validate(self) -> None:
-        if not math.isfinite(self.tau):
-            raise ValidationError(f"resolution.tau: must be finite, got {self.tau}")
-        if self.fallback not in (FALLBACK_TOP_DELTA, FALLBACK_RAW_CONTEXT):
+    def __post_init__(self) -> None:
+        require(math.isfinite(self.tau), "resolution.tau", "finite", self.tau)
+        if self.fallback not in FALLBACKS:
             raise ValidationError(
                 f"resolution.fallback: unknown value {self.fallback!r}"
             )
-        if self.logprob_top_k < 1:
-            raise ValidationError(
-                f"resolution.logprob_top_k: must be >= 1, got {self.logprob_top_k}"
-            )
-        if self.max_tokens < 1:
-            raise ValidationError(
-                f"resolution.max_tokens: must be >= 1, got {self.max_tokens}"
-            )
-        if not 0 <= self.temperature < math.inf:
-            raise ValidationError(
-                "resolution.temperature: must be finite and >= 0, "
-                f"got {self.temperature}"
-            )
+        require(self.logprob_top_k >= 1, "resolution.logprob_top_k", ">= 1",
+                self.logprob_top_k)
+        require(self.max_tokens >= 1, "resolution.max_tokens", ">= 1", self.max_tokens)
+        require(0 <= self.temperature < math.inf, "resolution.temperature",
+                "finite and >= 0", self.temperature)
 
 
 @dataclass(frozen=True)
@@ -193,7 +185,6 @@ def entropy_filtered_response(
     which filters raw chunks instead of rendered paths. The outcome has no
     corrective paths: ``report.corrective_indexes()`` index ``contexts``.
     """
-    cfg.validate()
     if not contexts and not raw_context:
         raise FallbackExhausted(
             "no candidate contexts and no raw context to fall back to"

@@ -63,3 +63,9 @@ class ValidationError(PipelineError):
 
 class SchemaVersionMismatch(PipelineError):
     """Persisted artifact was written with an unknown schema version."""
+
+
+def require(ok: bool, where: str, rule: str, value: object) -> None:
+    """Raise ``ValidationError("<where>: must be <rule>, got <value>")`` unless ok."""
+    if not ok:
+        raise ValidationError(f"{where}: must be {rule}, got {value}")

@@ -118,7 +118,7 @@ def load_dataset(path: str | Path) -> list[EvalRecord]:
             for span in raw_spans:
                 _require(
                     isinstance(span, list) and len(span) == 2
-                    and all(isinstance(v, int) for v in span),
+                    and all(type(v) is int for v in span),  # a bool is no offset
                     index, "each gold span must be [start, end]",
                 )
                 start, end = span
@@ -258,7 +258,6 @@ def run_eval(
     trace_sink is given it receives each evaluated record's QueryTrace on the
     calling thread, in dataset order, under any parallelism.
     """
-    cfg.validate()
     gateway = gateway or build_gateway(cfg)
 
     def one(record: EvalRecord) -> tuple[RecordResult | PipelineError, QueryTrace | None]:

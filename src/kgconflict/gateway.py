@@ -17,7 +17,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import EmptyInput, ParseError, ScriptMiss, ValidationError
+from .errors import EmptyInput, ParseError, ScriptMiss, ValidationError, require
 from .jsonio import read_json_lines
 
 # Raw top-k probability masses may legitimately sum to slightly above 1
@@ -45,18 +45,12 @@ class GenerationRequest:
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValidationError("GenerationRequest.prompt: must be non-empty")
-        if self.temperature < 0:
-            raise ValidationError(
-                f"GenerationRequest.temperature: must be >= 0, got {self.temperature}"
-            )
-        if self.max_tokens < 1:
-            raise ValidationError(
-                f"GenerationRequest.max_tokens: must be >= 1, got {self.max_tokens}"
-            )
-        if self.logprob_top_k < 1:
-            raise ValidationError(
-                f"GenerationRequest.logprob_top_k: must be >= 1, got {self.logprob_top_k}"
-            )
+        require(0 <= self.temperature < math.inf, "GenerationRequest.temperature",
+                "finite and >= 0", self.temperature)
+        require(self.max_tokens >= 1, "GenerationRequest.max_tokens", ">= 1",
+                self.max_tokens)
+        require(self.logprob_top_k >= 1, "GenerationRequest.logprob_top_k", ">= 1",
+                self.logprob_top_k)
 
 
 @dataclass(frozen=True)

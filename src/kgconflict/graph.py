@@ -20,6 +20,7 @@ from .errors import (
     ExtractionParseError,
     SchemaVersionMismatch,
     ValidationError,
+    require,
 )
 from .gateway import GenerationRequest, ModelGateway
 from .jsonio import decode, read_json_object, write_json
@@ -94,6 +95,7 @@ class TripleExtraction:
 class KnowledgeGraph:
     """Immutable-by-convention container for entities, relations, triples.
 
+    The constructor runs ``validate``, so every graph that exists is valid.
     The adjacency index maps each entity id to the triples that touch it as
     ``(triple_index, direction)`` with direction ``"out"`` (entity is head)
     or ``"in"`` (entity is tail). Structural equality ignores adjacency,
@@ -109,6 +111,7 @@ class KnowledgeGraph:
         self.entities = entities
         self.relations = relations
         self.triples = triples
+        self.validate()
         self.adjacency: dict[str, list[tuple[int, str]]] = {
             eid: [] for eid in entities
         }
@@ -206,10 +209,7 @@ def segment(content: str, max_segment_tokens: int = 256) -> list[Segment]:
     content, so concatenating segments with the original inter-segment
     whitespace reproduces the content.
     """
-    if max_segment_tokens < 1:
-        raise ValidationError(
-            f"max_segment_tokens: must be >= 1, got {max_segment_tokens}"
-        )
+    require(max_segment_tokens >= 1, "max_segment_tokens", ">= 1", max_segment_tokens)
     if not content or not content.strip():
         raise EmptyContent("segment: content is empty or whitespace-only")
 
@@ -400,9 +400,7 @@ def build_graph(extracted: Iterable[TripleExtraction]) -> KnowledgeGraph:
         )
         for rid, acc in relation_acc.items()
     }
-    graph = KnowledgeGraph(entities=entities, relations=relations, triples=triples)
-    graph.validate()
-    return graph
+    return KnowledgeGraph(entities=entities, relations=relations, triples=triples)
 
 
 def graph_to_dict(graph: KnowledgeGraph) -> dict:
@@ -424,19 +422,15 @@ def graph_from_dict(data: dict) -> KnowledgeGraph:
         raise SchemaVersionMismatch(
             f"graph schema version {version!r}, expected {GRAPH_SCHEMA_VERSION}"
         )
-    entities = decode(list[Entity], data.get("entities"), "graph.entities")
-    relations = decode(list[Relation], data.get("relations"), "graph.relations")
+    tables: dict[str, dict] = {}
+    for key, row_type in (("entities", Entity), ("relations", Relation)):
+        table = tables[key] = {}
+        for row in decode(list[row_type], data.get(key), f"graph.{key}"):
+            if row.id in table:
+                raise ValidationError(f"graph.{key}: duplicate id {row.id!r}")
+            table[row.id] = row
     triples = decode(list[Triple], data.get("triples"), "graph.triples")
-    try:
-        graph = KnowledgeGraph(
-            entities={e.id: e for e in entities},
-            relations={r.id: r for r in relations},
-            triples=triples,
-        )
-    except KeyError as exc:  # a triple's head or tail is no entity of the file
-        raise ValidationError(f"graph: a triple names unknown entity {exc}") from None
-    graph.validate()
-    return graph
+    return KnowledgeGraph(triples=triples, **tables)
 
 
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:

@@ -9,13 +9,14 @@ dataclasses that ``dataclasses.asdict`` wrote out.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
 from typing import Iterator, Union, get_args, get_origin, get_type_hints
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -77,7 +78,7 @@ def decode(hint, value, where: str):
     A dataclass reads an object, and a field missing from it takes its default
     or is an error. ``list[X]``, ``tuple[X, ...]`` and ``frozenset[X]`` read a
     list, or a tuple as ``dataclasses.asdict`` leaves it. ``X | None`` reads
-    null or an X, and a float reads any number. A bool is never a number.
+    null or an X, and a float reads any finite number. A bool is never a number.
     """
     declared = hint
     if get_origin(hint) in (Union, UnionType):  # only ``X | None`` occurs
@@ -95,6 +96,8 @@ def decode(hint, value, where: str):
         raise ValidationError(
             f"{where}: expected {_describe(declared)}, got {type(value).__name__}"
         )
+    if type(value) is float:
+        require(math.isfinite(value), where, "finite", value)
     if origin in _SEQUENCES:
         item = get_args(hint)[0]
         return origin(decode(item, v, f"{where}[{i}]") for i, v in enumerate(value))

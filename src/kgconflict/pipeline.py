@@ -161,7 +161,6 @@ def answer_query(
     """
     if not question or not question.strip():
         raise ValidationError("answer_query: question must be non-empty")
-    cfg.validate()
     gateway = gateway or build_gateway(cfg)
     trace = QueryTrace(mode=cfg.mode, question=question)
 

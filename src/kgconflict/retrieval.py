@@ -22,6 +22,7 @@ from .errors import (
     EmptyInput,
     SchemaVersionMismatch,
     ValidationError,
+    require,
 )
 from .gateway import GenerationRequest, ModelGateway
 from .graph import KnowledgeGraph, _strip_code_fences
@@ -63,25 +64,14 @@ class RetrievalConfig:
     k_similar: int = 10
     paths_k: int = 10
 
-    def validate(self) -> None:
-        if not 0 <= self.alpha < math.inf:
-            raise ValidationError(
-                f"retrieval.alpha: must be finite and >= 0, got {self.alpha}"
-            )
-        if not 0 <= self.beta < math.inf:
-            raise ValidationError(
-                f"retrieval.beta: must be finite and >= 0, got {self.beta}"
-            )
+    def __post_init__(self) -> None:
+        require(0 <= self.alpha < math.inf, "retrieval.alpha", "finite and >= 0",
+                self.alpha)
+        require(0 <= self.beta < math.inf, "retrieval.beta", "finite and >= 0", self.beta)
         if self.alpha + self.beta <= 0:
             raise ValidationError("retrieval.alpha+beta: must be > 0")
-        if self.k_similar < 1:
-            raise ValidationError(
-                f"retrieval.k_similar: must be >= 1, got {self.k_similar}"
-            )
-        if self.paths_k < 1:
-            raise ValidationError(
-                f"retrieval.paths_k: must be >= 1, got {self.paths_k}"
-            )
+        require(self.k_similar >= 1, "retrieval.k_similar", ">= 1", self.k_similar)
+        require(self.paths_k >= 1, "retrieval.paths_k", ">= 1", self.paths_k)
 
 
 @dataclass(frozen=True)

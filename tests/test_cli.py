@@ -462,6 +462,8 @@ def test_malformed_graph_or_paths_file_exits_one(replay_cli_files, capsys,
     pytest.param("paths", ("paths", 0, "nodes", 0), 1, id="path-node"),
     pytest.param("paths", ("paths", 0, "rendered_context"), 7, id="rendered-context"),
     pytest.param("paths", ("paths", 0, "score"), "high", id="score"),
+    pytest.param("paths", ("paths", 0, "score"), float("nan"), id="score-nan"),
+    pytest.param("paths", ("paths", 0, "score"), float("inf"), id="score-infinity"),
     pytest.param("paths", ("paths", 0, "edges", 0, "relation"), 1, id="edge-relation"),
     pytest.param("paths", ("paths", 0, "edges", 0, "triple_index"), "0",
                  id="edge-triple-index"),
@@ -637,6 +639,18 @@ def test_graph_triple_naming_no_entity_or_relation_exits_one(valid_inputs, tmp_p
     assert code == 1
     _assert_one_error_line(err)
     assert "no such id" in err
+
+
+@pytest.mark.parametrize("rows", ["entities", "relations"])
+def test_graph_duplicate_row_id_exits_one(valid_inputs, tmp_path, rows):
+    data = json.loads(Path(valid_inputs["graph"]).read_text(encoding="utf-8"))
+    data[rows].append({**data[rows][0], "name": "IMPOSTOR"})
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code, err = _run(_argv_reading(valid_inputs, "graph", str(bad)))
+    assert code == 1
+    _assert_one_error_line(err)
+    assert f"graph.{rows}: duplicate id {data[rows][0]['id']!r}" in err
 
 
 def test_config_flags_match_config_keys():

@@ -91,6 +91,12 @@ def test_load_dataset_valid_spans(tmp_path):
     assert loaded[0].gold_spans == ((0, 16),)
 
 
+def test_load_dataset_bool_span_offset(tmp_path):
+    path = _write_dataset(tmp_path, [_record(gold_spans=[[True, 5]])])
+    with pytest.raises(ParseError, match="gold span"):
+        load_dataset(path)
+
+
 def test_load_dataset_invalid_json_line(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text(json.dumps(_record()) + "\n{oops\n", encoding="utf-8")

@@ -53,6 +53,12 @@ def test_generation_request_validation():
         GenerationRequest(prompt="x", max_tokens=0)
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf])
+def test_generation_request_rejects_non_finite_temperature(temperature):
+    with pytest.raises(ValidationError, match="temperature: must be finite"):
+        GenerationRequest(prompt="x", temperature=temperature)
+
+
 def test_token_logprobs_validation_rejects_positive_logprob():
     tokens = TokenLogprobs(positions=(
         TokenPosition(token="a", candidates=(TokenCandidate("a", 0.5),)),

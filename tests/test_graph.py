@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import fixtures
 
 from kgconflict import (
+    DanglingReference,
     EmptyContent,
     ExtractionParseError,
     KnowledgeGraph,
     SchemaVersionMismatch,
+    Triple,
     build_graph,
     extract_triples,
     load_graph,
@@ -318,6 +320,12 @@ def test_build_graph_idempotent_and_bounded(seed):
 
 # ---------------------------------------------------------------------------
 # Persistence
+
+
+def test_graph_is_validated_when_built():
+    triple = Triple(head="a", relation="r", tail="b", source_segment=0, evidence="")
+    with pytest.raises(DanglingReference, match="head 'a'"):
+        KnowledgeGraph(entities={}, relations={}, triples=[triple])
 
 
 def test_graph_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, replace
 
 import pytest
@@ -12,6 +13,7 @@ import fixtures
 from kgconflict import (
     FallbackExhausted,
     PipelineConfig,
+    ResolutionConfig,
     RetrievalConfig,
     ValidationError,
     answer_query,
@@ -257,3 +259,39 @@ def test_validation_error_messages_carry_field_path():
         PipelineConfig(retrieval=RetrievalConfig(k_similar=0)).validate()
     with pytest.raises(ValidationError, match="parallelism"):
         PipelineConfig(parallelism=0).validate()
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ResolutionConfig(tau=math.nan),
+                 "resolution.tau: must be finite, got nan", id="resolution"),
+    pytest.param(lambda: RetrievalConfig(paths_k=0),
+                 "retrieval.paths_k: must be >= 1, got 0", id="retrieval"),
+    pytest.param(lambda: PipelineConfig(max_segment_tokens=0),
+                 "max_segment_tokens: must be >= 1, got 0", id="pipeline"),
+    pytest.param(lambda: PipelineConfig(temperature=-1.0),
+                 "resolution.temperature: must be finite and >= 0, got -1.0",
+                 id="pipeline-resolution"),
+])
+def test_config_is_checked_when_built(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key, value, expects", [
+    pytest.param("tau", "abc", "a number", id="float"),
+    pytest.param("parallelism", "2", "an integer", id="int"),
+    pytest.param("parallelism", True, "an integer", id="bool-is-no-int"),
+    pytest.param("trace", 1, "a boolean", id="bool"),
+    pytest.param("model_id", 5, "a string", id="str"),
+    pytest.param("tau", 10**400, "a number", id="int-too-large-for-a-float"),
+])
+def test_parse_config_override_must_have_its_key_type(key, value, expects):
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {key: value})
+    assert str(err.value) == f"override: {key} expects {expects}, got {value!r}"
+
+
+def test_parse_config_override_takes_an_int_for_a_float_key():
+    cfg = parse_config(None, {"tau": 2})
+    assert cfg.tau == 2.0 and type(cfg.tau) is float
