@@ -6,13 +6,12 @@ a comment line, values may be quoted. Every key has a CLI flag twin.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .conflict import FALLBACK_TOP_DELTA, ResolutionConfig
-from .errors import ValidationError, require
+from .errors import TYPE_NAMES, ValidationError, require, require_field_types
 from .retrieval import RetrievalConfig
 
 MODES = ("full", "no_kg", "no_conflict", "standard_rag", "no_rag")
@@ -53,6 +52,7 @@ class PipelineConfig:
     skip_errors: bool = False
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if self.mode not in MODES:
             raise ValidationError(
                 f"mode: {self.mode!r} is not one of {', '.join(MODES)}"
@@ -80,7 +80,6 @@ class PipelineConfig:
             logprob_top_k=self.logprob_top_k,
             max_tokens=self.max_tokens,
             temperature=self.temperature,
-            model_id=self.model_id or None,
         )
 
 
@@ -94,7 +93,6 @@ KEY_TYPES = {
 }
 _RETRIEVAL_KEYS = {f.name for f in fields(RetrievalConfig)}
 ALL_KEYS = set(KEY_TYPES)
-_EXPECTS = {bool: "a boolean", float: "a number", int: "an integer", str: "a string"}
 
 
 def _coerce(key: str, raw: str, where: str) -> object:
@@ -110,7 +108,7 @@ def _coerce(key: str, raw: str, where: str) -> object:
             return kind(raw)  # a str key keeps the text as it is
         except ValueError:
             pass
-    raise ValidationError(f"{where}: {key} expects {_EXPECTS[kind]}, got {raw!r}")
+    raise ValidationError(f"{where}: {key} expects {TYPE_NAMES[kind]}, got {raw!r}")
 
 
 def _read_config_file(path: str | Path) -> dict[str, object]:
@@ -142,9 +140,9 @@ def parse_config(
 ) -> PipelineConfig:
     """Build a validated config from an optional file plus CLI overrides.
 
-    Override values win over file values; both win over defaults. An
-    override has its key's type, an int serving for a float. Raises
-    ValidationError with a field-path message on any bad key, type or bound.
+    Override values win over file values; both win over defaults. The config
+    checks each value's type and bounds. Raises ValidationError with a
+    field-path message on any bad key, type or bound.
     """
     values = _read_config_file(path) if path is not None else {}
     for key, value in (overrides or {}).items():
@@ -152,13 +150,6 @@ def parse_config(
             continue
         if key not in ALL_KEYS:
             raise ValidationError(f"override: unknown key {key!r}")
-        kind = KEY_TYPES[key]
-        if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-            value = float(value)  # as a config file or a flag gives it
-        if type(value) is not kind:
-            raise ValidationError(
-                f"override: {key} expects {_EXPECTS[kind]}, got {value!r}"
-            )
         values[key] = value
     retrieval = {key: values.pop(key) for key in _RETRIEVAL_KEYS & values.keys()}
     return PipelineConfig(retrieval=RetrievalConfig(**retrieval), **values)

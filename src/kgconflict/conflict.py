@@ -16,7 +16,13 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .errors import EmptySequence, FallbackExhausted, ValidationError, require
+from .errors import (
+    EmptySequence,
+    FallbackExhausted,
+    ValidationError,
+    require,
+    require_field_types,
+)
 from .gateway import GenerationRequest, GenerationResult, ModelGateway, TokenLogprobs
 from .prompts import ANSWER_AUGMENTED, ANSWER_PARAMETRIC, render
 from .retrieval import ReasoningPath
@@ -41,9 +47,9 @@ class ResolutionConfig:
     logprob_top_k: int = 10
     max_tokens: int = 256
     temperature: float = 0.0
-    model_id: str | None = None
 
     def __post_init__(self) -> None:
+        require_field_types(self, "resolution.")
         require(math.isfinite(self.tau), "resolution.tau", "finite", self.tau)
         if self.fallback not in FALLBACKS:
             raise ValidationError(
@@ -123,7 +129,6 @@ def _generate(
             temperature=cfg.temperature,
             max_tokens=cfg.max_tokens,
             logprob_top_k=cfg.logprob_top_k,
-            model_id=cfg.model_id,
         )
     )
 

@@ -1,4 +1,12 @@
-"""Shared exception types for the pipeline."""
+"""Shared exception types for the pipeline, and the field checks that raise them."""
+
+import sys
+from dataclasses import fields
+from functools import cache
+from typing import get_args, get_type_hints
+
+TYPE_NAMES = {bool: "a boolean", float: "a number", int: "an integer", str: "a string"}
+_type_hints = cache(get_type_hints)
 
 
 class PipelineError(Exception):
@@ -69,3 +77,19 @@ def require(ok: bool, where: str, rule: str, value: object) -> None:
     """Raise ``ValidationError("<where>: must be <rule>, got <value>")`` unless ok."""
     if not ok:
         raise ValidationError(f"{where}: must be {rule}, got {value}")
+
+
+def require_field_types(obj: object, prefix: str = "") -> None:
+    """Check each field of a frozen dataclass against its declared type.
+
+    The type must match exactly, so a bool is no int or number; ``X | None``
+    also takes None. An int in a float field is stored as a float, unless no
+    float can hold it.
+    """
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        value, kinds = getattr(obj, f.name), get_args(hints[f.name]) or (hints[f.name],)
+        if kinds[0] is float and type(value) is int and abs(value) <= sys.float_info.max:
+            object.__setattr__(obj, f.name, value := float(value))
+        require(type(value) in kinds, prefix + f.name,
+                TYPE_NAMES.get(kinds[0], f"a {kinds[0].__name__}"), repr(value))

@@ -34,10 +34,12 @@ log = logging.getLogger(__name__)
 
 RESULTS_SCHEMA_VERSION = 1
 
-CSV_COLUMNS = [
-    "id", "prediction", "correct", "cpr", "h_param",
-    "delta_h_min", "delta_h_max", "context_tokens", "fallback",
-]
+CSV_COLUMNS = {  # results.csv header -> RecordResult attribute, in column order
+    "id": "record_id", "prediction": "prediction", "correct": "correct",
+    "cpr": "cpr", "h_param": "h_param", "delta_h_min": "delta_h_min",
+    "delta_h_max": "delta_h_max", "context_tokens": "context_tokens",
+    "fallback": "fallback",
+}
 
 _ARTICLES = {"a", "an", "the"}
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -318,17 +320,7 @@ def write_results_csv(result: EvalResult, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in result.rows:
-            writer.writerow([
-                _cell(row.record_id),
-                _cell(row.prediction),
-                _cell(row.correct),
-                _cell(row.cpr),
-                _cell(row.h_param),
-                _cell(row.delta_h_min),
-                _cell(row.delta_h_max),
-                _cell(row.context_tokens),
-                _cell(row.fallback),
-            ])
+            writer.writerow([_cell(getattr(row, attr)) for attr in CSV_COLUMNS.values()])
 
 
 def summary_dict(result: EvalResult) -> dict:

@@ -123,7 +123,6 @@ class GenerationResult:
 @dataclass(frozen=True)
 class EmbeddingVector:
     values: tuple[float, ...]
-    model_id: str
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, self.values)):
@@ -151,8 +150,7 @@ def _check_texts(texts: list[str]) -> None:
 class _ScriptEntry:
     kind: str  # "generate" | "embed"
     match: str
-    regex: bool
-    pattern: re.Pattern | None
+    pattern: re.Pattern | None  # set for a regex entry, else None
     text: str = ""
     tokens: TokenLogprobs | None = None
     vector: tuple[float, ...] = ()
@@ -169,11 +167,11 @@ class _ScriptIndex:
     """
 
     def __init__(self, entries: list[_ScriptEntry]) -> None:
-        self._regexes = tuple(e for e in entries if e.regex)
+        self._regexes = tuple(e for e in entries if e.pattern is not None)
         self._exact: dict[str, tuple[int, _ScriptEntry]] = {}
         before = 0
         for entry in entries:
-            if entry.regex:
+            if entry.pattern is not None:
                 before += 1
             else:
                 self._exact.setdefault(entry.match, (before, entry))
@@ -192,11 +190,7 @@ def _hash_unit_vector(text: str, dim: int) -> np.ndarray:
     seed = int.from_bytes(digest[:8], "big")
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:  # cannot happen with standard_normal, defensive
-        vec[0] = 1.0
-        norm = 1.0
-    return vec / norm
+    return vec / float(np.linalg.norm(vec))
 
 
 class MockGateway:
@@ -213,17 +207,11 @@ class MockGateway:
     """
 
     def __init__(
-        self,
-        entries: list[_ScriptEntry],
-        embedding_dim: int = DEFAULT_MOCK_EMBEDDING_DIM,
-        model_id: str = "mock-chat",
-        embed_model_id: str = "mock-embed",
+        self, entries: list[_ScriptEntry], embedding_dim: int = DEFAULT_MOCK_EMBEDDING_DIM
     ) -> None:
         self._generate_index = _ScriptIndex([e for e in entries if e.kind == "generate"])
         self._embed_index = _ScriptIndex([e for e in entries if e.kind == "embed"])
         self._dim = embedding_dim
-        self.model_id = model_id
-        self.embed_model_id = embed_model_id
 
     def generate(self, req: GenerationRequest) -> GenerationResult:
         entry = self._generate_index.first_match(req.prompt)
@@ -232,7 +220,7 @@ class MockGateway:
             return GenerationResult(
                 text=entry.text,
                 tokens=entry.tokens,
-                model_id=req.model_id or self.model_id,
+                model_id=req.model_id or "mock-chat",
                 latency=0.0,
             )
         preview = req.prompt if len(req.prompt) <= 120 else req.prompt[:117] + "..."
@@ -247,7 +235,7 @@ class MockGateway:
                 vec = entry.vector
             else:
                 vec = tuple(_hash_unit_vector(text, self._dim).tolist())
-            out.append(EmbeddingVector(values=vec, model_id=self.embed_model_id))
+            out.append(EmbeddingVector(values=vec))
         return out
 
 
@@ -270,7 +258,7 @@ def _parse_tokens(raw: object, line_no: int) -> TokenLogprobs:
                 not isinstance(raw_cand, (list, tuple))
                 or len(raw_cand) != 2
                 or not isinstance(raw_cand[0], str)
-                or not isinstance(raw_cand[1], (int, float))
+                or type(raw_cand[1]) not in (int, float)  # a bool is no number
             ):
                 raise ParseError(
                     f"script line {line_no}: candidate must be [token, logprob]"
@@ -316,19 +304,19 @@ def _parse_entry(obj: dict, line_no: int) -> _ScriptEntry:
                 f"script line {line_no}: chosen tokens concatenate to {joined!r}, "
                 f"which does not reconstruct text {text!r}"
             )
-        return _ScriptEntry(kind=kind, match=match, regex=regex, pattern=pattern,
-                            text=text, tokens=tokens)
+        return _ScriptEntry(kind=kind, match=match, pattern=pattern, text=text,
+                            tokens=tokens)
 
     vector = response.get("vector")
     if (
         not isinstance(vector, list)
         or not vector
-        or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vector)
+        or not all(type(v) in (int, float) and math.isfinite(v) for v in vector)
     ):
         raise ParseError(
             f"script line {line_no}: embed response needs a non-empty finite 'vector'"
         )
-    return _ScriptEntry(kind=kind, match=match, regex=regex, pattern=pattern,
+    return _ScriptEntry(kind=kind, match=match, pattern=pattern,
                         vector=tuple(float(v) for v in vector))
 
 

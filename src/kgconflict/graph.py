@@ -305,7 +305,6 @@ def extract_triples(
     gateway: ModelGateway,
     max_tokens: int = 1024,
     logprob_top_k: int = 10,
-    model_id: str | None = None,
 ) -> list[TripleExtraction]:
     """Extract structured triples from one segment via the model.
 
@@ -319,7 +318,6 @@ def extract_triples(
         temperature=0.0,
         max_tokens=max_tokens,
         logprob_top_k=logprob_top_k,
-        model_id=model_id,
     )
     try:
         return _parse_extraction_response(gateway.generate(request).text, seg)

@@ -62,16 +62,17 @@ class HttpGateway:
         self,
         base_url: str,
         model_id: str,
-        embed_url: str | None = None,
-        embed_model_id: str | None = None,
+        embed_url: str = "",
+        embed_model_id: str = "",
         timeout: float = 60.0,
         max_attempts: int = 3,
         backoff: float = 0.5,
     ) -> None:
+        # An empty model id is "default"; empty embedding settings take the chat ones.
         self.base_url = base_url.rstrip("/")
-        self.model_id = model_id
+        self.model_id = model_id or "default"
         self.embed_url = (embed_url or base_url).rstrip("/")
-        self.embed_model_id = embed_model_id or model_id
+        self.embed_model_id = embed_model_id or self.model_id
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff = backoff
@@ -131,17 +132,24 @@ class HttpGateway:
         if not isinstance(data, list) or len(data) != len(texts):
             got = len(data) if isinstance(data, list) else 0
             raise ParseError(f"embeddings response has {got} rows for {len(texts)} inputs")
-        rows = sorted(data, key=_row_index)
+        rows: list[dict | None] = [None] * len(data)
+        for position, row in enumerate(data):
+            # A row without an index answers the input at its own position.
+            index = _object(row, "embeddings row").get("index", position)
+            if type(index) is not int:  # a bool is no index
+                raise ParseError(f"embeddings row index {index!r} is not an integer")
+            if not 0 <= index < len(rows) or rows[index] is not None:
+                raise ParseError(
+                    f"embeddings row index {index} is repeated or not below {len(rows)}"
+                )
+            rows[index] = row
         out = []
         for row in rows:
             values = row.get("embedding")
             if not isinstance(values, list) or not values:
                 raise ParseError("embeddings response row lacks 'embedding'")
             out.append(
-                EmbeddingVector(
-                    values=tuple(_number(v, "embedding value") for v in values),
-                    model_id=self.embed_model_id,
-                )
+                EmbeddingVector(values=tuple(_number(v, "embedding value") for v in values))
             )
         dims = {len(v.values) for v in out}
         if len(dims) > 1:
@@ -163,13 +171,6 @@ def _number(value: object, what: str) -> float:
     except OverflowError:
         pass
     raise ParseError(f"{what} {value!r:.40} is not a finite number")
-
-
-def _row_index(row: object) -> int:
-    index = _object(row, "embeddings row").get("index", 0)
-    if type(index) is not int:  # a bool is no index
-        raise ParseError(f"embeddings row index {index!r} is not an integer")
-    return index
 
 
 def _parse_chat_response(

@@ -78,7 +78,8 @@ def decode(hint, value, where: str):
     A dataclass reads an object, and a field missing from it takes its default
     or is an error. ``list[X]``, ``tuple[X, ...]`` and ``frozenset[X]`` read a
     list, or a tuple as ``dataclasses.asdict`` leaves it. ``X | None`` reads
-    null or an X, and a float reads any finite number. A bool is never a number.
+    null or an X, and a float reads any finite number as a float. A bool is
+    never a number.
     """
     declared = hint
     if get_origin(hint) in (Union, UnionType):  # only ``X | None`` occurs
@@ -96,7 +97,11 @@ def decode(hint, value, where: str):
         raise ValidationError(
             f"{where}: expected {_describe(declared)}, got {type(value).__name__}"
         )
-    if type(value) is float:
+    if hint is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValidationError(f"{where}: integer too large for a float") from None
         require(math.isfinite(value), where, "finite", value)
     if origin in _SEQUENCES:
         item = get_args(hint)[0]

@@ -76,12 +76,7 @@ def build_gateway(cfg: PipelineConfig) -> ModelGateway:
     if cfg.mock_script:
         return load_mock_script(cfg.mock_script)
     if cfg.model_url:
-        return HttpGateway(
-            base_url=cfg.model_url,
-            model_id=cfg.model_id or "default",
-            embed_url=cfg.embed_url or None,
-            embed_model_id=cfg.embed_model_id or None,
-        )
+        return HttpGateway(cfg.model_url, cfg.model_id, cfg.embed_url, cfg.embed_model_id)
     raise ValidationError("no backend configured: set mock_script or model_url")
 
 
@@ -99,13 +94,8 @@ def build_phase(context: str, cfg: PipelineConfig, gateway: ModelGateway,
     for seg in trace.segments:
         try:
             extractions.extend(
-                extract_triples(
-                    seg,
-                    gateway,
-                    max_tokens=cfg.max_tokens,
-                    logprob_top_k=cfg.logprob_top_k,
-                    model_id=cfg.model_id or None,
-                )
+                extract_triples(seg, gateway, max_tokens=cfg.max_tokens,
+                                logprob_top_k=cfg.logprob_top_k)
             )
         except ExtractionParseError as exc:
             skipped += 1
@@ -125,13 +115,8 @@ def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
     """
     if graph.is_empty():
         return []
-    key = extract_key_elements(
-        question,
-        gateway,
-        max_tokens=cfg.max_tokens,
-        logprob_top_k=cfg.logprob_top_k,
-        model_id=cfg.model_id or None,
-    )
+    key = extract_key_elements(question, gateway, max_tokens=cfg.max_tokens,
+                               logprob_top_k=cfg.logprob_top_k)
     trace.key_elements = key
     important = top_k_important(graph, key, cfg.retrieval, gateway)
     trace.important_entities = list(important.entities)

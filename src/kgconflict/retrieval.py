@@ -23,6 +23,7 @@ from .errors import (
     SchemaVersionMismatch,
     ValidationError,
     require,
+    require_field_types,
 )
 from .gateway import GenerationRequest, ModelGateway
 from .graph import KnowledgeGraph, _strip_code_fences
@@ -65,6 +66,7 @@ class RetrievalConfig:
     paths_k: int = 10
 
     def __post_init__(self) -> None:
+        require_field_types(self, "retrieval.")
         require(0 <= self.alpha < math.inf, "retrieval.alpha", "finite and >= 0",
                 self.alpha)
         require(0 <= self.beta < math.inf, "retrieval.beta", "finite and >= 0", self.beta)
@@ -188,7 +190,6 @@ def extract_key_elements(
     gateway: ModelGateway,
     max_tokens: int = 256,
     logprob_top_k: int = 10,
-    model_id: str | None = None,
 ) -> QueryKeyElements:
     """Ask the model for the query's target entities/relations/intent.
 
@@ -203,7 +204,6 @@ def extract_key_elements(
             temperature=0.0,
             max_tokens=max_tokens,
             logprob_top_k=logprob_top_k,
-            model_id=model_id,
         )
     )
     fallback = QueryKeyElements(target_entities=(query,))

@@ -464,6 +464,7 @@ def test_malformed_graph_or_paths_file_exits_one(replay_cli_files, capsys,
     pytest.param("paths", ("paths", 0, "score"), "high", id="score"),
     pytest.param("paths", ("paths", 0, "score"), float("nan"), id="score-nan"),
     pytest.param("paths", ("paths", 0, "score"), float("inf"), id="score-infinity"),
+    pytest.param("paths", ("paths", 0, "score"), 10**400, id="score-huge-int"),
     pytest.param("paths", ("paths", 0, "edges", 0, "relation"), 1, id="edge-relation"),
     pytest.param("paths", ("paths", 0, "edges", 0, "triple_index"), "0",
                  id="edge-triple-index"),

@@ -217,6 +217,21 @@ def test_script_int_too_large_for_float_reports_line_number(tmp_path, entry):
         load_mock_script(path)
 
 
+@pytest.mark.parametrize("entry, message", [
+    pytest.param(fixtures.embed_entry("a", [1.0, True]),
+                 "line 2: embed response needs a non-empty finite 'vector'",
+                 id="bool-embed-vector"),
+    pytest.param(fixtures.gen_entry("q", "a", [{"token": "a", "candidates": [
+        ["a", 0.0], ["b", False]]}]),
+        r"line 2: candidate must be \[token, logprob\]", id="bool-candidate-logprob"),
+])
+def test_script_bool_is_not_a_number_reports_line_number(tmp_path, entry, message):
+    good = fixtures.gen_entry("q0", "a", fixtures.one_token("a"))
+    path = fixtures.write_script(tmp_path / "bad.jsonl", [good, entry])
+    with pytest.raises(ParseError, match=message):
+        load_mock_script(path)
+
+
 def test_script_rejects_token_text_mismatch(tmp_path):
     entry = fixtures.gen_entry("q", "hello", fixtures.one_token("other"))
     path = fixtures.write_script(tmp_path / "bad.jsonl", [entry])
@@ -546,6 +561,15 @@ def test_http_embed_parses_and_orders(fake_server):
     assert server.seen[0]["body"] == {"model": "e1", "input": ["a", "b"]}
 
 
+def test_http_embed_row_without_index_answers_its_position(fake_server):
+    server, url = fake_server
+    server.responder = lambda path, body: (200, {"data": [
+        {"embedding": [0.0, 1.0]}, {"index": 1, "embedding": [1.0, 1.0]},
+    ]})
+    gw = HttpGateway(url, model_id="m1", backoff=0.0)
+    assert [v.values for v in gw.embed(["a", "b"])] == [(0.0, 1.0), (1.0, 1.0)]
+
+
 def _with_logprobs_content(item):
     payload = _chat_payload()
     payload["choices"][0]["logprobs"]["content"] = [item]
@@ -590,6 +614,12 @@ def test_http_non_object_json_is_parse_error(fake_server, call, payload):
     pytest.param("embed", {"data": [{"index": True, "embedding": [1.0]},
                                     {"index": 0, "embedding": [2.0]}]},
                  "index True is not an integer", id="bool-embeddings-index"),
+    pytest.param("embed", {"data": [{"index": 0, "embedding": [1.0]},
+                                    {"index": 0, "embedding": [2.0]}]},
+                 "index 0 is repeated or not below 2", id="duplicate-index"),
+    pytest.param("embed", {"data": [{"index": 3, "embedding": [1.0]},
+                                    {"index": 7, "embedding": [2.0]}]},
+                 "index 3 is repeated or not below 2", id="index-out-of-range"),
     pytest.param("generate", _with_logprobs_content(
         {"token": "Paris", "logprob": -10**400, "top_logprobs": []}),
         "logprob -1000.* is not a finite number", id="logprob-overflow"),

@@ -1,18 +1,24 @@
-"""The layer functions the benchmark tracer wraps exist in the package.
+"""The package names the benchmark relies on exist.
 
 ``perfbench/tracer.py`` reports a missing layer function as a null metric
-instead of failing, so a rename inside ``kgconflict`` would go unnoticed
-there. Its ``TARGETS`` list is read as source, without importing the
-benchmark.
+instead of failing, and ``perfbench/loopback_server.py`` reports a request
+it cannot build as an HTTP 400 reply, so a rename inside ``kgconflict``
+would go unnoticed there. Both files are read as source, without importing
+the benchmark.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from kgconflict.gateway import GenerationRequest, GenerationResult
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+LOOPBACK = PERFBENCH / "loopback_server.py"
 
 
 def _targets() -> list[tuple[str, str]]:
@@ -36,3 +42,31 @@ def test_benchmark_layer_names_are_package_callables():
     ]
     assert targets
     assert missing == []
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def test_loopback_server_uses_gateway_type_fields():
+    tree = ast.parse(LOOPBACK.read_text(encoding="utf-8"))
+    keywords = {
+        keyword.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "request_type"
+        for keyword in node.keywords
+    }
+    (chat_payload,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_chat_payload"
+    ]
+    read = {
+        node.attr
+        for node in ast.walk(chat_payload)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "result"
+    }
+    assert keywords and read
+    assert keywords <= _field_names(GenerationRequest)
+    assert read <= _field_names(GenerationResult)

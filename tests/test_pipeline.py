@@ -20,8 +20,9 @@ from kgconflict import (
     parse_config,
     resolve,
 )
-from kgconflict.config import MODEL_TAU_DEFAULTS
+from kgconflict.config import MODEL_TAU_DEFAULTS, MODES
 from kgconflict.jsonio import decode
+from kgconflict.pipeline import build_gateway
 from kgconflict.retrieval import ReasoningPath
 
 
@@ -107,6 +108,39 @@ def _strip_timings(trace_dict: dict) -> dict:
     return out
 
 
+class _RecordingGateway:
+    def __init__(self, inner) -> None:
+        self.inner, self.requests = inner, []
+
+    def generate(self, req):
+        self.requests.append(req)
+        return self.inner.generate(req)
+
+    def embed(self, texts):
+        return self.inner.embed(texts)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_requests_leave_the_model_to_the_gateway(replay_config, replay_gateway, mode):
+    cfg = replace(replay_config, mode=mode, model_id="my-model", parallelism=4)
+    gateway = _RecordingGateway(replay_gateway)
+    answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg, gateway)
+    assert gateway.requests
+    assert [req.model_id for req in gateway.requests] == [None] * len(gateway.requests)
+
+
+@pytest.mark.parametrize("settings, chat, embed", [
+    pytest.param({}, "default", "default", id="unnamed"),
+    pytest.param({"model_id": "m1"}, "m1", "m1", id="chat-model-embeds"),
+    pytest.param({"model_id": "m1", "embed_model_id": "e1"}, "m1", "e1", id="both"),
+    pytest.param({"embed_model_id": "e1"}, "default", "e1", id="embed-only"),
+])
+def test_build_gateway_gives_the_http_gateway_the_config_model(settings, chat, embed):
+    gateway = build_gateway(PipelineConfig(model_url="http://127.0.0.1:9/v1", **settings))
+    assert (gateway.model_id, gateway.embed_model_id) == (chat, embed)
+    assert gateway.embed_url == gateway.base_url == "http://127.0.0.1:9/v1"
+
+
 def test_answer_query_is_pure_under_mock(replay_config, replay_gateway):
     first = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
                          replay_config, replay_gateway)
@@ -152,6 +186,13 @@ def test_trace_replays_resolution(replay_config, replay_gateway, tmp_path):
     )
     assert outcome.response == response
     assert asdict(outcome.report) == dumped["report"]
+
+
+def test_decode_reads_a_json_integer_as_a_float():
+    assert type(decode(float, 2, "score")) is float
+    with pytest.raises(ValidationError) as err:
+        decode(float | None, 10**400, "paths[0].score")
+    assert str(err.value) == "paths[0].score: integer too large for a float"
 
 
 def test_trace_serialization_is_json_safe(replay_config, replay_gateway):
@@ -256,9 +297,9 @@ def test_tau_model_override_table():
 
 def test_validation_error_messages_carry_field_path():
     with pytest.raises(ValidationError, match="retrieval.k_similar"):
-        PipelineConfig(retrieval=RetrievalConfig(k_similar=0)).validate()
+        PipelineConfig(retrieval=RetrievalConfig(k_similar=0))
     with pytest.raises(ValidationError, match="parallelism"):
-        PipelineConfig(parallelism=0).validate()
+        PipelineConfig(parallelism=0)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -289,9 +330,41 @@ def test_config_is_checked_when_built(build, message):
 def test_parse_config_override_must_have_its_key_type(key, value, expects):
     with pytest.raises(ValidationError) as err:
         parse_config(None, {key: value})
-    assert str(err.value) == f"override: {key} expects {expects}, got {value!r}"
+    assert str(err.value) == f"{key}: must be {expects}, got {value!r}"
 
 
 def test_parse_config_override_takes_an_int_for_a_float_key():
     cfg = parse_config(None, {"tau": 2})
     assert cfg.tau == 2.0 and type(cfg.tau) is float
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: PipelineConfig(tau="abc"),
+                 "tau: must be a number, got 'abc'", id="str-for-float"),
+    pytest.param(lambda: PipelineConfig(parallelism="2"),
+                 "parallelism: must be an integer, got '2'", id="str-for-int"),
+    pytest.param(lambda: PipelineConfig(max_tokens=2.5),
+                 "max_tokens: must be an integer, got 2.5", id="float-for-int"),
+    pytest.param(lambda: RetrievalConfig(k_similar=True),
+                 "retrieval.k_similar: must be an integer, got True", id="bool-for-int"),
+    pytest.param(lambda: RetrievalConfig(alpha=False),
+                 "retrieval.alpha: must be a number, got False", id="bool-for-float"),
+    pytest.param(lambda: ResolutionConfig(tau=10**400),
+                 f"resolution.tau: must be a number, got {10**400}",
+                 id="int-too-large-for-a-float"),
+    pytest.param(lambda: PipelineConfig(retrieval={"k_similar": 3}),
+                 "retrieval: must be a RetrievalConfig, got {'k_similar': 3}",
+                 id="dict-for-dataclass"),
+])
+def test_config_field_types_are_checked_when_built(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_config_stores_an_int_for_a_float_field_as_a_float():
+    cfg = PipelineConfig(tau=2, temperature=1, retrieval=RetrievalConfig(alpha=1))
+    assert cfg.tau == 2.0 and type(cfg.tau) is float
+    assert type(cfg.temperature) is float and type(cfg.retrieval.alpha) is float
+    assert type(cfg.resolution().temperature) is float
+    assert PipelineConfig(tau=None).tau is None
