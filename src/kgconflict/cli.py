@@ -149,12 +149,14 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     file_question, p_super = load_paths(args.paths)
     question = args.question or file_question
-    if not question:
-        raise _CliError(EXIT_VALIDATION, "resolve needs --question (not in paths file)")
-    raw_context = _read_text(args.context) if args.context else None
+    if not question or not question.strip():
+        raise _CliError(EXIT_VALIDATION,
+                        "resolve needs a non-blank --question (or a paths file with one)")
+    context = _read_text(args.context) if args.context else ""
     gateway = _gateway_or_exit(cfg)
     outcome = resolve_paths(question, p_super, gateway, cfg.resolution(),
-                            raw_context=raw_context, parallelism=cfg.parallelism)
+                            raw_context=context if context.strip() else None,
+                            parallelism=cfg.parallelism)
     payload = {
         "response": outcome.response,
         "fallback_used": outcome.fallback_used,

@@ -14,7 +14,18 @@ from .conflict import FALLBACK_TOP_DELTA, ResolutionConfig
 from .errors import TYPE_NAMES, ValidationError, require, require_field_types
 from .retrieval import RetrievalConfig
 
-MODES = ("full", "no_kg", "no_conflict", "standard_rag", "no_rag")
+# Each pipeline mode: where its contexts come from, and whether the entropy
+# filter picks among them. Graph paths and raw chunks are candidates, with the
+# raw text as the fallback; "raw" answers from the raw text as it is, "none"
+# from parametric knowledge alone.
+MODE_TABLE = {
+    "full": ("paths", True),
+    "no_kg": ("segments", True),
+    "no_conflict": ("paths", False),
+    "standard_rag": ("raw", False),
+    "no_rag": ("none", False),
+}
+MODES = tuple(MODE_TABLE)
 
 DEFAULT_TAU = 1.0
 # Model-specific threshold defaults, applied when tau is not set explicitly;

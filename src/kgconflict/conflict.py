@@ -91,7 +91,7 @@ class ResolutionOutcome:
     response: str
     corrective_paths: list[ReasoningPath]
     fallback_used: str
-    report: EntropyReport
+    report: EntropyReport | None
     final_context: str = ""
 
 
@@ -158,15 +158,6 @@ def parametric_baseline(
     return _answer(query, None, gateway, cfg)
 
 
-def augmented_entropy(
-    query: str, path: ReasoningPath, gateway: ModelGateway, cfg: ResolutionConfig
-) -> tuple[str, float]:
-    """Answer conditioned on one rendered path; returns (answer, entropy)."""
-    if path.rendered_context is None:
-        raise ValidationError("augmented_entropy: path has no rendered context")
-    return _answer(query, path.rendered_context, gateway, cfg)
-
-
 def filter_corrective(
     paths: Sequence[T], deltas: Sequence[float], tau: float
 ) -> list[T]:
@@ -176,25 +167,14 @@ def filter_corrective(
     return [path for path, delta in zip(paths, deltas) if delta > tau]
 
 
-def entropy_filtered_response(
+def _probe(
     query: str,
     contexts: Sequence[str],
     gateway: ModelGateway,
     cfg: ResolutionConfig,
-    raw_context: str | None = None,
-    parallelism: int = 1,
-) -> ResolutionOutcome:
-    """Run the conflict loop over arbitrary context strings.
-
-    Shared by path-based resolution and the knowledge-graph-free ablation,
-    which filters raw chunks instead of rendered paths. The outcome has no
-    corrective paths: ``report.corrective_indexes()`` index ``contexts``.
-    """
-    if not contexts and not raw_context:
-        raise FallbackExhausted(
-            "no candidate contexts and no raw context to fall back to"
-        )
-
+    parallelism: int,
+) -> EntropyReport:
+    """The parametric baseline and each context's entropy delta against it."""
     parametric_answer, h_param = parametric_baseline(query, gateway, cfg)
 
     if parallelism > 1 and len(contexts) > 1:
@@ -207,25 +187,51 @@ def entropy_filtered_response(
 
     deltas = [h_aug - h_param for _ans, h_aug in measured]
     chosen = set(filter_corrective(range(len(measured)), deltas, cfg.tau))
-    per_path = [
-        PathEntropy(index=i, h_aug=h_aug, delta_h=deltas[i], corrective=i in chosen)
-        for i, (_ans, h_aug) in enumerate(measured)
-    ]
-    report = EntropyReport(
+    return EntropyReport(
         h_param=h_param,
-        per_path=per_path,
+        per_path=[
+            PathEntropy(index=i, h_aug=h_aug, delta_h=deltas[i], corrective=i in chosen)
+            for i, (_ans, h_aug) in enumerate(measured)
+        ],
         tau=cfg.tau,
         parametric_answer=parametric_answer,
         augmented_answers=[ans for ans, _ in measured],
     )
 
-    corrective = report.corrective_indexes()
+
+def entropy_filtered_response(
+    query: str,
+    contexts: Sequence[str],
+    gateway: ModelGateway,
+    cfg: ResolutionConfig,
+    raw_context: str | None = None,
+    parallelism: int = 1,
+    filtered: bool = True,
+) -> ResolutionOutcome:
+    """Run the conflict loop over arbitrary context strings.
+
+    Shared by path-based resolution and the knowledge-graph-free ablation,
+    which filters raw chunks instead of rendered paths. The outcome has no
+    corrective paths: ``report.corrective_indexes()`` index ``contexts``.
+    Unfiltered, no probe is made, every context counts as corrective and the
+    outcome has no report; the fallback rule is the same.
+    """
+    if not contexts and not raw_context:
+        raise FallbackExhausted(
+            "no candidate contexts and no raw context to fall back to"
+        )
+
+    if filtered:
+        report = _probe(query, contexts, gateway, cfg, parallelism)
+        corrective = report.corrective_indexes()
+    else:
+        report, corrective = None, list(range(len(contexts)))
     if corrective:
         final_context = CONTEXT_DELIMITER.join(contexts[i] for i in corrective)
         fallback_used = FALLBACK_NONE
     # Configured fallback first, then the other; the guard above leaves one.
     elif contexts and (cfg.fallback == FALLBACK_TOP_DELTA or not raw_context):
-        best = max(per_path, key=lambda p: p.delta_h)
+        best = max(report.per_path, key=lambda p: p.delta_h)
         final_context = contexts[best.index]
         fallback_used = FALLBACK_TOP_DELTA
     else:

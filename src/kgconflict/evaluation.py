@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import logging
 import string
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,9 +225,7 @@ def confidence_logprob(tokens: TokenLogprobs) -> float:
 def _evaluate_record(
     record: EvalRecord, cfg: PipelineConfig, gateway: ModelGateway
 ) -> tuple[RecordResult, QueryTrace]:
-    start = time.perf_counter()
     response, trace = answer_query(record.question, record.context, cfg, gateway)
-    wall = time.perf_counter() - start
     deltas = (
         [p.delta_h for p in trace.report.per_path] if trace.report is not None else []
     )
@@ -241,7 +238,7 @@ def _evaluate_record(
         delta_h_min=min(deltas) if deltas else None,
         delta_h_max=max(deltas) if deltas else None,
         context_tokens=len(trace.final_context.split()),
-        wall_time=wall,
+        wall_time=trace.timings["total"],
         fallback=trace.fallback_used,
     ), trace
 

@@ -2,8 +2,10 @@
 
 Phase 1 builds the knowledge graph from the retrieved context, phase 2
 retrieves and renders reasoning paths for the question, and phase 3 runs
-entropy-based conflict resolution and generates the answer. Ablation modes
-switch individual phases off.
+entropy-based conflict resolution and generates the answer. The ablation
+modes differ only in where the candidate contexts come from and whether the
+entropy filter runs: ``config.MODE_TABLE`` says which, and one body runs them
+all.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ import time
 from dataclasses import dataclass, field
 
 from .conflict import (
-    CONTEXT_DELIMITER,
     EntropyReport,
     ResolutionOutcome,
     entropy_filtered_response,
     plain_answer,
     resolve,
 )
-from .config import PipelineConfig
+from .config import MODE_TABLE, PipelineConfig
 from .errors import ExtractionParseError, FallbackExhausted, ValidationError
 from .gateway import ModelGateway, load_mock_script
 from .graph import (
@@ -149,65 +150,42 @@ def answer_query(
     gateway = gateway or build_gateway(cfg)
     trace = QueryTrace(mode=cfg.mode, question=question)
 
+    source, filtered = MODE_TABLE[cfg.mode]
     resolution = cfg.resolution()
     raw = context if context.strip() else None
-    outcome: ResolutionOutcome | None = None
     t0 = time.perf_counter()
-    if cfg.mode == "no_rag":
-        t1 = t2 = time.perf_counter()
-        trace.response = plain_answer(question, None, gateway, resolution)
-    elif cfg.mode == "standard_rag":
-        t1 = t2 = time.perf_counter()
-        if raw is None:
-            raise FallbackExhausted("standard_rag: no context to answer from")
-        trace.final_context = raw
-        trace.response = plain_answer(question, raw, gateway, resolution)
-    elif cfg.mode == "no_kg":
-        trace.segments = segment(raw, cfg.max_segment_tokens) if raw else []
-        t1 = t2 = time.perf_counter()
-        outcome = entropy_filtered_response(
-            question,
-            [c.text for c in trace.segments],
-            gateway,
-            resolution,
-            raw_context=raw,
-            parallelism=cfg.parallelism,
-        )
-    else:  # full or no_conflict
+    if source == "paths":
         graph, _skipped = build_phase(context, cfg, gateway, trace)
-        t1 = time.perf_counter()
-        p_super = retrieve_phase(question, graph, cfg, gateway, trace)
-        t2 = time.perf_counter()
-        if cfg.mode == "no_conflict":
-            if p_super:
-                trace.final_context = CONTEXT_DELIMITER.join(
-                    p.rendered_context or "" for p in p_super
-                )
-                trace.fallback_used = "none"
-            elif raw is not None:
-                trace.final_context = raw
-                trace.fallback_used = "raw_context"
-            else:
-                raise FallbackExhausted("no_conflict: no paths and no raw context")
-            trace.response = plain_answer(
-                question, trace.final_context, gateway, resolution
-            )
-        else:
-            outcome = resolve(
-                question,
-                p_super,
-                gateway,
-                resolution,
-                raw_context=raw,
-                parallelism=cfg.parallelism,
-            )
-    if outcome is not None:
-        trace.response = outcome.response
-        trace.report = outcome.report
-        trace.fallback_used = outcome.fallback_used
-        trace.final_context = outcome.final_context
+    elif source == "segments" and raw:
+        trace.segments = segment(raw, cfg.max_segment_tokens)
+    t1 = time.perf_counter()
+    if source == "paths":
+        trace.p_super = retrieve_phase(question, graph, cfg, gateway, trace)
+    t2 = time.perf_counter()
+    if source == "paths" and filtered:
+        outcome = resolve(question, trace.p_super, gateway, resolution,
+                          raw_context=raw, parallelism=cfg.parallelism)
+    elif source in ("paths", "segments"):
+        contexts = ([p.rendered_context or "" for p in trace.p_super]
+                    if source == "paths" else [s.text for s in trace.segments])
+        outcome = entropy_filtered_response(
+            question, contexts, gateway, resolution, raw_context=raw,
+            parallelism=cfg.parallelism, filtered=filtered,
+        )
+    else:  # the raw text, or no context at all, is the final context as it is
+        if source == "raw" and raw is None:
+            raise FallbackExhausted(f"{cfg.mode}: no context to answer from")
+        final = raw if source == "raw" else None
+        outcome = ResolutionOutcome(
+            response=plain_answer(question, final, gateway, resolution),
+            corrective_paths=[], fallback_used="", report=None, final_context=final or "",
+        )
     t3 = time.perf_counter()
 
+    trace.response = outcome.response
+    trace.report = outcome.report
+    trace.fallback_used = outcome.fallback_used
+    trace.final_context = outcome.final_context
     trace.timings = {
         "phase1_construction": t1 - t0,
         "phase2_retrieval": t2 - t1,

@@ -24,7 +24,8 @@ from kgconflict import (
 )
 from kgconflict import cli
 from kgconflict.cli import main
-from kgconflict.config import ALL_KEYS
+from kgconflict.config import ALL_KEYS, MODES
+from kgconflict.retrieval import PATHS_SCHEMA_VERSION
 
 
 @pytest.fixture
@@ -561,6 +562,38 @@ _INPUT_CODES = {"config": 1, "script": 2, "dataset": 3, "context": 1, "graph": 1
                 "paths": 1}
 
 
+def test_resolve_blank_question_exits_one(valid_inputs):
+    code, err = _run(["resolve", "--mock-script", valid_inputs["script"],
+                      "--paths", valid_inputs["paths"], "--question", " \t "])
+    assert code == 1
+    _assert_one_error_line(err)
+    assert "non-blank --question" in err
+
+
+def test_resolve_whitespace_context_is_no_raw_context(valid_inputs, tmp_path):
+    """As in ``answer``: zero paths and a blank context exhaust the fallbacks,
+    and with paths the raw-context fallback cascades to the top delta."""
+    blank = tmp_path / "blank.txt"
+    blank.write_text("  \n\t\n", encoding="utf-8")
+    no_paths = tmp_path / "no_paths.json"
+    no_paths.write_text(json.dumps({"schema_version": PATHS_SCHEMA_VERSION,
+                                    "question": fixtures.REPLAY_QUESTION, "paths": []}),
+                        encoding="utf-8")
+    mock = ["--mock-script", valid_inputs["script"]]
+    for argv in (["resolve", *mock, "--paths", str(no_paths)],
+                 ["answer", *mock, "--question", fixtures.REPLAY_QUESTION]):
+        code, err = _run([*argv, "--context", str(blank)])
+        assert code == 1
+        _assert_one_error_line(err)
+        assert "no raw context" in err
+    out = tmp_path / "resolve.json"
+    code, err = _run(["resolve", *mock, "--paths", valid_inputs["paths"],
+                      "--context", str(blank), "--tau", "100",
+                      "--fallback", "raw_context", "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert json.loads(out.read_text(encoding="utf-8"))["fallback_used"] == "top_delta"
+
+
 @pytest.mark.parametrize("kind", list(_INPUT_CODES))
 def test_non_utf8_input_file_exits_with_its_code(valid_inputs, tmp_path, kind):
     bad = tmp_path / "bad.txt"
@@ -694,3 +727,35 @@ def test_artifacts_match_golden_copies(replay_cli_files):
         # Compared as JSON text, so 1 and 1.0 differ as they do in the file.
         assert json.dumps(record[key], sort_keys=True) == json.dumps(
             value, sort_keys=True), key
+
+
+# Flags of each pinned eval variant: the defaults, and a threshold no path
+# crosses with the raw-context fallback.
+_MODE_VARIANTS = {
+    "default": [],
+    "tau100_raw_context": ["--tau", "100", "--fallback", "raw_context"],
+}
+
+
+def _mode_artifacts(files: dict, mode: str, variant: str) -> dict[str, str]:
+    """``results.csv``, ``summary.json`` and the trace record without timings
+    of one eval run over the replay dataset, as text."""
+    out = files["tmp"] / f"run-{mode}-{variant}"
+    assert main(["eval", "--mock-script", files["script"], "--dataset", files["dataset"],
+                 "--mode", mode, *_MODE_VARIANTS[variant], "--trace",
+                 "--out", str(out)]) == 0
+    (trace,) = (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(trace)
+    del record["timings"]
+    return {
+        "results.csv": (out / "results.csv").read_text(encoding="utf-8"),
+        "summary.json": (out / "summary.json").read_text(encoding="utf-8"),
+        "trace": json.dumps(record, sort_keys=True),
+    }
+
+
+@pytest.mark.parametrize("variant", list(_MODE_VARIANTS))
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_matches_its_golden_artifacts(replay_cli_files, mode, variant):
+    golden = json.loads((_GOLDEN / "modes.json").read_text(encoding="utf-8"))
+    assert _mode_artifacts(replay_cli_files, mode, variant) == golden[f"{mode}/{variant}"]

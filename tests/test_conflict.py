@@ -21,7 +21,6 @@ from kgconflict import (
     TokenLogprobs,
     TokenPosition,
     ValidationError,
-    augmented_entropy,
     filter_corrective,
     load_mock_script,
     mean_token_entropy,
@@ -184,7 +183,7 @@ def _rendered_path(context: str) -> ReasoningPath:
     )
 
 
-def test_augmented_entropy_same_distribution_gives_zero_delta(tmp_path):
+def test_same_distribution_gives_zero_delta(tmp_path):
     dist = fixtures.sharp_tokens(["same"], p=0.7)
     gw = _gw(tmp_path, [
         fixtures.gen_entry("Answer the question from your own knowledge",
@@ -192,13 +191,15 @@ def test_augmented_entropy_same_distribution_gives_zero_delta(tmp_path):
         fixtures.gen_entry("Use the reference information below",
                            "same", dist, regex=True),
     ])
-    cfg = ResolutionConfig()
-    _, h_param = parametric_baseline("q?", gw, cfg)
-    _, h_aug = augmented_entropy("q?", _rendered_path("ctx"), gw, cfg)
-    assert h_aug - h_param == 0.0
+    report = conflict.entropy_filtered_response(
+        "q?", ["ctx"], gw, ResolutionConfig()
+    ).report
+    (probe,) = report.per_path
+    assert probe.h_aug == report.h_param
+    assert probe.delta_h == 0.0
 
 
-def test_augmented_entropy_direction_of_change(tmp_path):
+def test_entropy_direction_of_change(tmp_path):
     flat = fixtures.uniform_tokens(["flat"])        # 2 bits
     sharp = fixtures.sharp_tokens(["calm"], p=0.99)  # ~0.08 bits
     base = fixtures.sharp_tokens(["base"], p=0.9)    # ~0.47 bits
@@ -208,29 +209,46 @@ def test_augmented_entropy_direction_of_change(tmp_path):
         fixtures.gen_entry("Answer the question from your own knowledge",
                            "base", base, regex=True),
     ])
-    cfg = ResolutionConfig()
-    _, h_param = parametric_baseline("q?", gw, cfg)
-    _, h_conflict = augmented_entropy(
-        "q?", _rendered_path("conflicting evidence"), gw, cfg
-    )
-    _, h_support = augmented_entropy(
-        "q?", _rendered_path("supporting evidence"), gw, cfg
-    )
-    assert h_param == pytest.approx(fixtures.two_way_entropy_bits(0.9), abs=1e-12)
-    assert h_conflict == pytest.approx(2.0, abs=1e-12)
-    assert h_support == pytest.approx(
+    report = conflict.entropy_filtered_response(
+        "q?", ["conflicting evidence", "supporting evidence"], gw, ResolutionConfig()
+    ).report
+    conflicting, supporting = report.per_path
+    assert report.h_param == pytest.approx(fixtures.two_way_entropy_bits(0.9), abs=1e-12)
+    assert conflicting.h_aug == pytest.approx(2.0, abs=1e-12)
+    assert supporting.h_aug == pytest.approx(
         fixtures.two_way_entropy_bits(0.99), abs=1e-12
     )
-    assert h_conflict > h_param
-    assert h_support < h_param
+    assert conflicting.delta_h == conflicting.h_aug - report.h_param > 0
+    assert supporting.delta_h == supporting.h_aug - report.h_param < 0
 
 
-def test_augmented_entropy_requires_rendered_context(tmp_path):
+def test_resolve_requires_rendered_context(tmp_path):
     gw = _gw(tmp_path, [])
     path = _rendered_path("x")
     path.rendered_context = None
-    with pytest.raises(ValidationError):
-        augmented_entropy("q?", path, gw, ResolutionConfig())
+    with pytest.raises(ValidationError, match="rendered context"):
+        resolve("q?", [path], gw, ResolutionConfig())
+
+
+def test_unfiltered_response_answers_from_every_context_without_a_probe(tmp_path):
+    # Only the final answer is scripted: a probe would miss the script.
+    gw = _gw(tmp_path, [fixtures.gen_entry(
+        "Use the reference information below", "ans",
+        fixtures.sharp_tokens(["ans"], p=0.9), regex=True,
+    )])
+    cfg = ResolutionConfig(fallback="raw_context")
+    outcome = conflict.entropy_filtered_response(
+        "q?", ["a", "b"], gw, cfg, raw_context="raw", filtered=False
+    )
+    assert outcome.report is None
+    assert outcome.final_context == "a" + conflict.CONTEXT_DELIMITER + "b"
+    assert (outcome.response, outcome.fallback_used) == ("ans", "none")
+    outcome = conflict.entropy_filtered_response(
+        "q?", [], gw, cfg, raw_context="raw", filtered=False
+    )
+    assert (outcome.final_context, outcome.fallback_used) == ("raw", "raw_context")
+    with pytest.raises(FallbackExhausted):
+        conflict.entropy_filtered_response("q?", [], gw, cfg, filtered=False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from dataclasses import fields
 from pathlib import Path
 
+import fixtures
+
+from kgconflict import pipeline
 from kgconflict.gateway import GenerationRequest, GenerationResult
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,6 +46,45 @@ def test_benchmark_layer_names_are_package_callables():
     ]
     assert targets
     assert missing == []
+
+
+# The layer functions one full-mode query calls.
+_FULL_MODE_LAYERS = {
+    "graph.segment", "graph.extract_triples", "graph.build_graph",
+    "retrieval.extract_key_elements", "retrieval.top_k_important",
+    "retrieval.enumerate_paths", "retrieval.score_path",
+    "retrieval.select_super_paths", "retrieval.contextualize",
+    "conflict.resolve", "conflict.parametric_baseline", "conflict.mean_token_entropy",
+}
+
+
+def test_wrapped_layer_functions_see_a_full_mode_query(
+    monkeypatch, replay_config, replay_gateway
+):
+    """The tracer replaces each layer function wherever a ``kgconflict``
+    module refers to it; a function the program reaches another way (say,
+    one captured in a table at import time) would escape it and its metric
+    would read null. Wrap them the same way and check each one is called."""
+    called = set()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module_name, function in _targets():
+        original = getattr(importlib.import_module(f"kgconflict.{module_name}"), function)
+        wrapper = counting(f"{module_name}.{function}", original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "kgconflict":
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    pipeline.answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
+                          replay_config, replay_gateway)
+    assert _FULL_MODE_LAYERS - called == set()
 
 
 def _field_names(cls) -> set[str]:

@@ -110,14 +110,33 @@ def _strip_timings(trace_dict: dict) -> dict:
 
 class _RecordingGateway:
     def __init__(self, inner) -> None:
-        self.inner, self.requests = inner, []
+        self.inner, self.requests, self.embedded = inner, [], []
 
     def generate(self, req):
         self.requests.append(req)
         return self.inner.generate(req)
 
     def embed(self, texts):
+        self.embedded.append(texts)
         return self.inner.embed(texts)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_blank_context_exhausts_fallbacks_without_a_model_call(
+    replay_config, replay_gateway, mode
+):
+    cfg = replace(replay_config, mode=mode)
+    gateway = _RecordingGateway(replay_gateway)
+    if mode == "no_rag":
+        response, trace = answer_query(fixtures.REPLAY_QUESTION, " \n\t ", cfg, gateway)
+        assert response == fixtures.PARAMETRIC_TEXT
+        assert trace.final_context == ""
+        assert len(gateway.requests) == 1
+    else:
+        with pytest.raises(FallbackExhausted):
+            answer_query(fixtures.REPLAY_QUESTION, " \n\t ", cfg, gateway)
+        assert gateway.requests == []
+    assert gateway.embedded == []
 
 
 @pytest.mark.parametrize("mode", MODES)
