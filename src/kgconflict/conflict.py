@@ -10,8 +10,8 @@ context for the final answer.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, TypeVar
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     require,
     require_field_types,
 )
-from .gateway import GenerationRequest, GenerationResult, ModelGateway, TokenLogprobs
+from .gateway import GenerationRequest, GenerationResult, ModelGateway, TokenLogprobs, gather
 from .prompts import ANSWER_AUGMENTED, ANSWER_PARAMETRIC, render
 from .retrieval import ReasoningPath
 
@@ -174,16 +174,12 @@ def _probe(
     cfg: ResolutionConfig,
     parallelism: int,
 ) -> EntropyReport:
-    """The parametric baseline and each context's entropy delta against it."""
-    parametric_answer, h_param = parametric_baseline(query, gateway, cfg)
-
-    if parallelism > 1 and len(contexts) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            measured = list(
-                pool.map(lambda c: _answer(query, c, gateway, cfg), contexts)
-            )
-    else:
-        measured = [_answer(query, c, gateway, cfg) for c in contexts]
+    """The parametric baseline and each context's entropy delta, in one gather."""
+    (parametric_answer, h_param), *measured = gather(
+        [partial(parametric_baseline, query, gateway, cfg)]
+        + [partial(_answer, query, c, gateway, cfg) for c in contexts],
+        parallelism,
+    )
 
     deltas = [h_aug - h_param for _ans, h_aug in measured]
     chosen = set(filter_corrective(range(len(measured)), deltas, cfg.tau))
@@ -214,7 +210,9 @@ def entropy_filtered_response(
     which filters raw chunks instead of rendered paths. The outcome has no
     corrective paths: ``report.corrective_indexes()`` index ``contexts``.
     Unfiltered, no probe is made, every context counts as corrective and the
-    outcome has no report; the fallback rule is the same.
+    outcome has no report; the fallback rule is the same. At temperature 0 a
+    final context equal to a probed one takes that probe's answer, as the
+    final request would be the same one.
     """
     if not contexts and not raw_context:
         raise FallbackExhausted(
@@ -238,8 +236,12 @@ def entropy_filtered_response(
         final_context = raw_context
         fallback_used = FALLBACK_RAW_CONTEXT
 
+    if report is not None and cfg.temperature == 0 and final_context in contexts:
+        response = report.augmented_answers[contexts.index(final_context)]
+    else:
+        response = plain_answer(query, final_context, gateway, cfg)
     return ResolutionOutcome(
-        response=plain_answer(query, final_context, gateway, cfg),
+        response=response,
         corrective_paths=[],
         fallback_used=fallback_used,
         report=report,

@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .jsonio import read_json_lines
 PROB_MASS_TOLERANCE = 1e-6
 
 DEFAULT_MOCK_EMBEDDING_DIM = 64
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,20 @@ class ModelGateway(Protocol):
     def generate(self, req: GenerationRequest) -> GenerationResult: ...
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]: ...
+
+
+def gather(calls: Sequence[Callable[[], T]], parallelism: int) -> list[T]:
+    """Run zero-argument calls, at most ``parallelism`` at once; results by index.
+
+    The lowest-index failure is raised. At ``parallelism`` 1, or for one call,
+    they run in order on the calling thread. Pass only leaf calls: one waiting
+    on another task could hold the worker that task needs.
+    """
+    if parallelism == 1 or len(calls) <= 1:
+        return [call() for call in calls]
+    with ThreadPoolExecutor(max_workers=min(parallelism, len(calls))) as pool:
+        futures = [pool.submit(call) for call in calls]
+    return [future.result() for future in futures]
 
 
 def _check_texts(texts: list[str]) -> None:

@@ -6,6 +6,10 @@ entropy-based conflict resolution and generates the answer. The ablation
 modes differ only in where the candidate contexts come from and whether the
 entropy filter runs: ``config.MODE_TABLE`` says which, and one body runs them
 all.
+
+Independent model calls overlap, ``cfg.parallelism`` at most at a time: the
+segment extractions with the key elements, then the parametric baseline with
+the entropy probes.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .conflict import (
     EntropyReport,
@@ -23,11 +28,12 @@ from .conflict import (
 )
 from .config import MODE_TABLE, PipelineConfig
 from .errors import ExtractionParseError, FallbackExhausted, ValidationError
-from .gateway import ModelGateway, load_mock_script
+from .gateway import ModelGateway, gather, load_mock_script
 from .graph import (
     KnowledgeGraph,
     Segment,
     Triple,
+    TripleExtraction,
     build_graph,
     extract_triples,
     segment,
@@ -81,45 +87,67 @@ def build_gateway(cfg: PipelineConfig) -> ModelGateway:
     raise ValidationError("no backend configured: set mock_script or model_url")
 
 
+def _extract_or_skip(seg: Segment, cfg: PipelineConfig,
+                     gateway: ModelGateway) -> list[TripleExtraction] | None:
+    """The segment's extractions, or None when the repair retry failed too."""
+    try:
+        return extract_triples(seg, gateway, max_tokens=cfg.max_tokens,
+                               logprob_top_k=cfg.logprob_top_k)
+    except ExtractionParseError as exc:
+        log.warning("skipping segment %d: %s", seg.id, exc)
+        return None
+
+
+def _key_elements_or_error(question: str, cfg: PipelineConfig,
+                           gateway: ModelGateway) -> QueryKeyElements | Exception:
+    try:
+        return extract_key_elements(question, gateway, max_tokens=cfg.max_tokens,
+                                    logprob_top_k=cfg.logprob_top_k)
+    except Exception as exc:  # raised only once the graph is known to be non-empty
+        return exc
+
+
 def build_phase(context: str, cfg: PipelineConfig, gateway: ModelGateway,
-                trace: QueryTrace) -> tuple[KnowledgeGraph, int]:
+                trace: QueryTrace, question: str | None = None
+                ) -> tuple[KnowledgeGraph, int]:
     """Segment, extract and build; returns the graph and the skipped-segment count.
 
-    A segment whose extraction still fails after the repair retry is
-    skipped. Segments, triples and graph stats are recorded on the trace.
+    The extractions run as one gather; a segment whose extraction still fails
+    after the repair retry is skipped. Given a question at ``parallelism`` > 1,
+    its key elements join the gather. An empty graph drops them, or their
+    error; else they go on the trace, or the error is raised after any
+    extraction error. Segments, triples and graph stats go on the trace.
     """
     if context.strip():
         trace.segments = segment(context, cfg.max_segment_tokens)
-    extractions = []
-    skipped = 0
-    for seg in trace.segments:
-        try:
-            extractions.extend(
-                extract_triples(seg, gateway, max_tokens=cfg.max_tokens,
-                                logprob_top_k=cfg.logprob_top_k)
-            )
-        except ExtractionParseError as exc:
-            skipped += 1
-            log.warning("skipping segment %d: %s", seg.id, exc)
-    graph = build_graph(extractions)
+    calls = [partial(_extract_or_skip, seg, cfg, gateway) for seg in trace.segments]
+    if question is not None and cfg.parallelism > 1 and calls:
+        calls.append(partial(_key_elements_or_error, question, cfg, gateway))
+    extracted = gather(calls, cfg.parallelism)
+    key = extracted.pop() if len(extracted) > len(trace.segments) else None
+    graph = build_graph(ext for exts in extracted if exts is not None for ext in exts)
     trace.triples = list(graph.triples)
     trace.graph_stats = graph.stats()
-    return graph, skipped
+    if key is not None and not graph.is_empty():
+        if isinstance(key, Exception):
+            raise key
+        trace.key_elements = key
+    return graph, sum(exts is None for exts in extracted)
 
 
 def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
                    gateway: ModelGateway, trace: QueryTrace) -> list[ReasoningPath]:
     """Key elements, rank, enumerate, score, select and render the paths.
 
-    An empty graph yields no paths and makes no model call. Every decision
-    is recorded on the trace.
+    An empty graph yields no paths and makes no model call, and key elements
+    already on the trace are kept. Every decision is recorded on the trace.
     """
     if graph.is_empty():
         return []
-    key = extract_key_elements(question, gateway, max_tokens=cfg.max_tokens,
-                               logprob_top_k=cfg.logprob_top_k)
-    trace.key_elements = key
-    important = top_k_important(graph, key, cfg.retrieval, gateway)
+    if trace.key_elements is None:
+        trace.key_elements = extract_key_elements(
+            question, gateway, max_tokens=cfg.max_tokens, logprob_top_k=cfg.logprob_top_k)
+    important = top_k_important(graph, trace.key_elements, cfg.retrieval, gateway)
     trace.important_entities = list(important.entities)
     trace.important_relations = list(important.relations)
     p_init = enumerate_paths(graph, important)
@@ -143,7 +171,9 @@ def answer_query(
 
     Under the mock backend this is a pure function of (question, context,
     script, config): everything except wall-clock timings is reproduced
-    bit-identically.
+    bit-identically, under any ``parallelism``. Above 1, the key elements
+    are asked for during extraction, so phase 1's timing takes in work of
+    phase 2; ``timings["total"]`` spans the whole call.
     """
     if not question or not question.strip():
         raise ValidationError("answer_query: question must be non-empty")
@@ -155,7 +185,7 @@ def answer_query(
     raw = context if context.strip() else None
     t0 = time.perf_counter()
     if source == "paths":
-        graph, _skipped = build_phase(context, cfg, gateway, trace)
+        graph, _skipped = build_phase(context, cfg, gateway, trace, question)
     elif source == "segments" and raw:
         trace.segments = segment(raw, cfg.max_segment_tokens)
     t1 = time.perf_counter()

@@ -76,6 +76,21 @@ def write_script(path: Path, entries: list[dict]) -> Path:
     return path
 
 
+class RecordingGateway:
+    """Passes every call to ``inner`` and keeps its requests and embed inputs."""
+
+    def __init__(self, inner) -> None:
+        self.inner, self.requests, self.embedded = inner, [], []
+
+    def generate(self, req):
+        self.requests.append(req)
+        return self.inner.generate(req)
+
+    def embed(self, texts):
+        self.embedded.append(texts)
+        return self.inner.embed(texts)
+
+
 # ---------------------------------------------------------------------------
 # Golden replay fixture: a municipal-ownership question whose retrieved
 # context contradicts the model's stale belief about the containing state.

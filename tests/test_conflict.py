@@ -28,6 +28,7 @@ from kgconflict import (
     resolve,
 )
 from kgconflict import conflict
+from kgconflict.conflict import CONTEXT_DELIMITER, plain_answer
 
 def _tokens(position_logprobs: list[list[float]]) -> TokenLogprobs:
     positions = []
@@ -404,6 +405,32 @@ def test_resolve_parallel_equals_serial(tmp_path):
     parallel = resolve("q?", _paths(4), gw, cfg, parallelism=4)
     assert serial.report == parallel.report
     assert serial.response == parallel.response
+
+
+@pytest.mark.parametrize("flat, settings, raw, final_call", [
+    pytest.param([False, True, False], {}, None, False, id="one-corrective"),
+    pytest.param([False, False], {"tau": 5.0}, None, False, id="top-delta"),
+    pytest.param([False, True, False], {"temperature": 0.5}, None, True,
+                 id="temperature-above-0"),
+    pytest.param([True, False, True], {}, None, True, id="joined-correctives"),
+    pytest.param([False], {"tau": 5.0, "fallback": "raw_context"}, "raw text", True,
+                 id="raw-fallback"),
+])
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_final_answer_reuses_only_an_identical_probe_at_temperature_0(
+    tmp_path, flat, settings, raw, final_call, parallelism
+):
+    gw = fixtures.RecordingGateway(_gw(tmp_path, _resolution_entries(flat)))
+    cfg = ResolutionConfig(**{"tau": 1.0, **settings})
+    outcome = resolve("q?", _paths(len(flat)), gw, cfg, raw_context=raw,
+                      parallelism=parallelism)
+    prompts = [req.prompt for req in gw.requests]
+    assert len(prompts) == 1 + len(flat) + final_call
+    assert (CONTEXT_DELIMITER in outcome.final_context) == (len(
+        outcome.corrective_paths) > 1)
+    if final_call:
+        assert outcome.final_context in prompts[-1]
+    assert outcome.response == plain_answer("q?", outcome.final_context, gw.inner, cfg)
 
 
 def test_resolve_computes_entropy_once_per_probe(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import math
 import os
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
 
@@ -24,6 +27,7 @@ from kgconflict import (
     HttpGateway,
     LogprobsUnsupported,
     ParseError,
+    PipelineError,
     ScriptMiss,
     TokenCandidate,
     TokenLogprobs,
@@ -32,6 +36,7 @@ from kgconflict import (
     cosine,
     load_mock_script,
 )
+from kgconflict.http_gateway import _parse_chat_response
 
 
 def _script(tmp_path, entries):
@@ -656,3 +661,69 @@ def test_http_embed_row_count_mismatch(fake_server):
     gw = HttpGateway(url, model_id="m1", backoff=0.0)
     with pytest.raises(ParseError):
         gw.embed(["a", "b"])
+
+
+# ---------------------------------------------------------------------------
+# Fuzz gate on the reply parsers: a JSON object body either parses or raises
+# a PipelineError, never anything else.
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+_VALID_EMBED_REPLY = {"data": [{"index": 1, "embedding": [0.5, -1.0]},
+                               {"index": 0, "embedding": [2, 0.25]}]}
+
+
+def _locations(value):
+    """Every (container, key) inside a JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield value, key
+        yield from _locations(child)
+
+
+@st.composite
+def _mutated(draw, valid: dict) -> dict:
+    """The valid reply with up to three values replaced by arbitrary JSON or dropped."""
+    body = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        locations = list(_locations(body))
+        if not locations:
+            break
+        container, key = draw(st.sampled_from(locations))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_JSON)
+    return body
+
+
+def _parses_or_raises_pipeline_error(call) -> None:
+    try:
+        call()
+    except PipelineError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.dictionaries(st.text(max_size=8), _JSON, max_size=4)
+       | _mutated(_chat_payload(top=[{"token": "Paris", "logprob": -0.01},
+                                     {"token": "Lyon", "logprob": -5.0},
+                                     {"token": "Nice", "logprob": -6.5}])))
+def test_chat_reply_parser_fuzz(body):
+    request = GenerationRequest(prompt="q", logprob_top_k=2)
+    _parses_or_raises_pipeline_error(
+        lambda: _parse_chat_response(body, request, "m1", 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.dictionaries(st.text(max_size=8), _JSON, max_size=4)
+       | _mutated(_VALID_EMBED_REPLY))
+def test_embed_reply_parser_fuzz(body):
+    gateway = HttpGateway("http://127.0.0.1:9/v1", model_id="m1")
+    gateway._post = lambda url, payload: body
+    _parses_or_raises_pipeline_error(lambda: gateway.embed(["a", "b"]))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+import time
 from dataclasses import asdict, replace
 
 import pytest
@@ -15,12 +17,15 @@ from kgconflict import (
     PipelineConfig,
     ResolutionConfig,
     RetrievalConfig,
+    ScriptMiss,
     ValidationError,
     answer_query,
+    load_mock_script,
     parse_config,
     resolve,
+    segment,
 )
-from kgconflict.config import MODEL_TAU_DEFAULTS, MODES
+from kgconflict.config import MODE_TABLE, MODEL_TAU_DEFAULTS, MODES
 from kgconflict.jsonio import decode
 from kgconflict.pipeline import build_gateway
 from kgconflict.retrieval import ReasoningPath
@@ -108,25 +113,12 @@ def _strip_timings(trace_dict: dict) -> dict:
     return out
 
 
-class _RecordingGateway:
-    def __init__(self, inner) -> None:
-        self.inner, self.requests, self.embedded = inner, [], []
-
-    def generate(self, req):
-        self.requests.append(req)
-        return self.inner.generate(req)
-
-    def embed(self, texts):
-        self.embedded.append(texts)
-        return self.inner.embed(texts)
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_blank_context_exhausts_fallbacks_without_a_model_call(
     replay_config, replay_gateway, mode
 ):
     cfg = replace(replay_config, mode=mode)
-    gateway = _RecordingGateway(replay_gateway)
+    gateway = fixtures.RecordingGateway(replay_gateway)
     if mode == "no_rag":
         response, trace = answer_query(fixtures.REPLAY_QUESTION, " \n\t ", cfg, gateway)
         assert response == fixtures.PARAMETRIC_TEXT
@@ -142,7 +134,7 @@ def test_blank_context_exhausts_fallbacks_without_a_model_call(
 @pytest.mark.parametrize("mode", MODES)
 def test_requests_leave_the_model_to_the_gateway(replay_config, replay_gateway, mode):
     cfg = replace(replay_config, mode=mode, model_id="my-model", parallelism=4)
-    gateway = _RecordingGateway(replay_gateway)
+    gateway = fixtures.RecordingGateway(replay_gateway)
     answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg, gateway)
     assert gateway.requests
     assert [req.model_id for req in gateway.requests] == [None] * len(gateway.requests)
@@ -221,6 +213,151 @@ def test_trace_serialization_is_json_safe(replay_config, replay_gateway):
     decoded = json.loads(encoded)
     assert decoded["response"] == trace.response
     assert decoded["graph_stats"]["entities"] == 6
+
+
+# ---------------------------------------------------------------------------
+# Call scheduling: overlap within the parallelism bound, reuse, failure order
+
+_MULTI_SEGMENT_TOKENS = 12
+_SEGMENTS = segment(fixtures.REPLAY_CONTEXT, _MULTI_SEGMENT_TOKENS)
+_KEY_ELEMENTS_PROMPT = "Identify the key elements"
+
+
+class _InflightGateway(fixtures.RecordingGateway):
+    """Holds each generate call briefly; records the calls and threads in flight."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.lock = threading.Lock()
+        self.inflight = self.inflight_max = self.extra_threads_max = 0
+        self.base_threads = threading.active_count()
+        self.threads: set[int] = set()
+        self.overlapped: list[str] = []  # prompts sent while another call was out
+
+    def generate(self, req):
+        with self.lock:
+            self.inflight += 1
+            self.inflight_max = max(self.inflight_max, self.inflight)
+            if self.inflight > 1:
+                self.overlapped.append(req.prompt)
+            self.extra_threads_max = max(self.extra_threads_max,
+                                         threading.active_count() - self.base_threads)
+            self.threads.add(threading.get_ident())
+        try:
+            time.sleep(0.02)
+            return super().generate(req)
+        finally:
+            with self.lock:
+                self.inflight -= 1
+
+
+class _FailingGateway(fixtures.RecordingGateway):
+    """Raises ScriptMiss(label) for a prompt holding the label's marker, after
+    the label's delay, so a later call can fail first in time."""
+
+    def __init__(self, inner, failures: dict[str, tuple[str, float]]) -> None:
+        super().__init__(inner)
+        self.failures = failures
+        self.failed: list[str] = []
+
+    def generate(self, req):
+        for label, (marker, delay) in self.failures.items():
+            if marker in req.prompt:
+                time.sleep(delay)
+                self.failed.append(label)
+                raise ScriptMiss(label)
+        return super().generate(req)
+
+
+def test_parallel_query_overlaps_calls_within_its_bound(replay_config, replay_gateway):
+    serial_cfg = replace(replay_config, max_segment_tokens=_MULTI_SEGMENT_TOKENS)
+    serial = _InflightGateway(replay_gateway)
+    _, serial_trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
+                                   serial_cfg, serial)
+    parallel = _InflightGateway(replay_gateway)
+    _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
+                            replace(serial_cfg, parallelism=3), parallel)
+    assert len(trace.segments) > 3
+    assert serial.inflight_max == 1
+    assert serial.threads == {threading.get_ident()} and serial.extra_threads_max == 0
+    assert 2 <= parallel.inflight_max <= 3
+    for stage in ("Extract factual knowledge triples", _KEY_ELEMENTS_PROMPT,
+                  "Use the reference information below"):
+        assert any(stage in prompt for prompt in parallel.overlapped), stage
+    assert parallel.extra_threads_max <= 3
+    assert _strip_timings(asdict(trace)) == _strip_timings(asdict(serial_trace))
+    assert sorted(r.prompt for r in parallel.requests) == sorted(
+        r.prompt for r in serial.requests)
+
+
+@pytest.mark.parametrize("mode", [m for m, (_src, filtered) in MODE_TABLE.items()
+                                  if filtered])
+@pytest.mark.parametrize("settings", [
+    pytest.param({}, id="default"),
+    pytest.param({"tau": 100.0, "fallback": "raw_context"}, id="raw-fallback"),
+    pytest.param({"tau": 100.0}, id="top-delta-fallback"),
+    pytest.param({"max_segment_tokens": _MULTI_SEGMENT_TOKENS}, id="multi-segment"),
+])
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_filtered_modes_send_no_prompt_twice(
+    replay_config, replay_gateway, mode, settings, parallelism
+):
+    """At temperature 0 the final answer reuses the probe of an identical context."""
+    cfg = replace(replay_config, mode=mode, parallelism=parallelism, **settings)
+    gateway = fixtures.RecordingGateway(replay_gateway)
+    answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg, gateway)
+    prompts = [req.prompt for req in gateway.requests]
+    assert len(set(prompts)) == len(prompts)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_first_failing_segment_error_surfaces(replay_config, replay_gateway, parallelism):
+    gateway = _FailingGateway(replay_gateway, {
+        "segment 1": (_SEGMENTS[1].text, 0.05), "segment 3": (_SEGMENTS[3].text, 0.0),
+    })
+    cfg = replace(replay_config, max_segment_tokens=_MULTI_SEGMENT_TOKENS,
+                  parallelism=parallelism)
+    with pytest.raises(ScriptMiss, match="^segment 1$"):
+        answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg, gateway)
+    assert gateway.failed == (["segment 1"] if parallelism == 1
+                              else ["segment 3", "segment 1"])
+
+
+@pytest.mark.parametrize("failures, expected", [
+    pytest.param({"key": (_KEY_ELEMENTS_PROMPT, 0.0)}, "key", id="key-elements"),
+    pytest.param({"key": (_KEY_ELEMENTS_PROMPT, 0.0),
+                  "segment 2": (_SEGMENTS[2].text, 0.05)}, "segment 2",
+                 id="extraction-first"),
+])
+def test_key_elements_error_surfaces_after_extraction_errors(
+    replay_config, replay_gateway, failures, expected
+):
+    gateway = _FailingGateway(replay_gateway, failures)
+    cfg = replace(replay_config, max_segment_tokens=_MULTI_SEGMENT_TOKENS, parallelism=4)
+    with pytest.raises(ScriptMiss, match=f"^{expected}$"):
+        answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg, gateway)
+    assert gateway.failed[0] == "key"
+
+
+def test_key_elements_error_is_dropped_with_an_empty_graph(tmp_path):
+    no_triples = fixtures.gen_entry("Extract factual knowledge triples", "[]",
+                                    fixtures.one_token("[]"), regex=True)
+    answers = fixtures.replay_script_entries()[2:]  # no extraction or key entry
+    script = fixtures.write_script(tmp_path / "s.jsonl", [no_triples, *answers])
+    gateway = _FailingGateway(load_mock_script(script),
+                              {"key": (_KEY_ELEMENTS_PROMPT, 0.0)})
+    traces = []
+    for parallelism in (1, 4):
+        cfg = PipelineConfig(mock_script=str(script), parallelism=parallelism,
+                             max_segment_tokens=_MULTI_SEGMENT_TOKENS)
+        _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
+                                cfg, gateway)
+        assert trace.graph_stats["triples"] == 0
+        assert trace.key_elements is None
+        assert trace.fallback_used == "raw_context"
+        traces.append(_strip_timings(asdict(trace)))
+    assert gateway.failed == ["key"]  # asked only when it can overlap extraction
+    assert traces[0] == traces[1]
 
 
 # ---------------------------------------------------------------------------
