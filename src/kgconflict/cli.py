@@ -11,11 +11,13 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
+from typing import TextIO
 
-from .config import ALL_KEYS, KEY_TYPES, MODES, PipelineConfig, parse_config
-from .conflict import FALLBACKS
+from .config import ALL_KEYS, FALLBACKS, KEY_TYPES, MODES, PipelineConfig, parse_config
 from .conflict import resolve as resolve_paths
 from .errors import (
     BackendUnavailable,
@@ -99,10 +101,14 @@ def _read_text(path: str) -> str:
         raise _CliError(EXIT_VALIDATION, f"cannot read {path}: {exc}")
 
 
-def _append_trace(out_dir: Path, trace_dict: dict) -> None:
+def _open_trace(out_dir: Path, mode: str) -> TextIO:
+    """The run's trace.jsonl: ``answer`` appends a record, ``eval`` rewrites it."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "trace.jsonl").open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(trace_dict, sort_keys=True) + "\n")
+    return (out_dir / "trace.jsonl").open(mode, encoding="utf-8")
+
+
+def _write_trace(fh: TextIO, trace: QueryTrace) -> None:
+    fh.write(json.dumps(asdict(trace), sort_keys=True) + "\n")
 
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
@@ -154,9 +160,8 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                         "resolve needs a non-blank --question (or a paths file with one)")
     context = _read_text(args.context) if args.context else ""
     gateway = _gateway_or_exit(cfg)
-    outcome = resolve_paths(question, p_super, gateway, cfg.resolution(),
-                            raw_context=context if context.strip() else None,
-                            parallelism=cfg.parallelism)
+    outcome = resolve_paths(question, p_super, gateway, cfg,
+                            raw_context=context if context.strip() else None)
     payload = {
         "response": outcome.response,
         "fallback_used": outcome.fallback_used,
@@ -176,8 +181,9 @@ def _cmd_answer(args: argparse.Namespace) -> int:
     context = _read_text(args.context) if args.context else ""
     gateway = _gateway_or_exit(cfg)
     response, trace = answer_query(args.question, context, cfg, gateway)
-    if cfg.trace and args.out:
-        _append_trace(Path(args.out), asdict(trace))
+    if cfg.trace:
+        with _open_trace(Path(args.out), "a") as fh:
+            _write_trace(fh, trace)
     print(response)
     return EXIT_OK
 
@@ -194,8 +200,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trace_sink = (lambda trace: _append_trace(out_dir, asdict(trace))) if cfg.trace else None
-    result = run_eval(records, cfg, gateway, trace_sink=trace_sink)
+    with _open_trace(out_dir, "w") if cfg.trace else nullcontext() as trace_file:
+        trace_sink = partial(_write_trace, trace_file) if trace_file else None
+        result = run_eval(records, cfg, gateway, trace_sink=trace_sink)
     write_results_csv(result, out_dir / "results.csv")
     write_summary_json(result, out_dir / "summary.json")
     write_timings_json(result, out_dir / "timings.json")

@@ -1,18 +1,21 @@
 """Pipeline configuration: defaults, file parsing, CLI overrides.
 
+Every setting lives here, once, and every stage reads the one
+``PipelineConfig``; this module imports nothing else of the package but
+``errors``, so each stage can import it.
+
 Config files are flat ``key = value`` text: one pair per line, ``#`` starts
 a comment line, values may be quoted. Every key has a CLI flag twin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .conflict import FALLBACK_TOP_DELTA, ResolutionConfig
 from .errors import TYPE_NAMES, ValidationError, require, require_field_types
-from .retrieval import RetrievalConfig
 
 # Each pipeline mode: where its contexts come from, and whether the entropy
 # filter picks among them. Graph paths and raw chunks are candidates, with the
@@ -35,6 +38,29 @@ MODEL_TAU_DEFAULTS = {
     "mistral-7b": 1.0,
     "qwen2.5-7b": 3.0,
 }
+
+FALLBACK_NONE = "none"
+FALLBACK_TOP_DELTA = "top_delta"
+FALLBACK_RAW_CONTEXT = "raw_context"
+FALLBACKS = (FALLBACK_TOP_DELTA, FALLBACK_RAW_CONTEXT)  # the configurable ones
+
+
+@dataclass(frozen=True)
+class RetrievalConfig:
+    alpha: float = 0.5
+    beta: float = 0.5
+    k_similar: int = 10
+    paths_k: int = 10
+
+    def __post_init__(self) -> None:
+        require_field_types(self, "retrieval.")
+        require(0 <= self.alpha < math.inf, "retrieval.alpha", "finite and >= 0",
+                self.alpha)
+        require(0 <= self.beta < math.inf, "retrieval.beta", "finite and >= 0", self.beta)
+        if self.alpha + self.beta <= 0:
+            raise ValidationError("retrieval.alpha+beta: must be > 0")
+        require(self.k_similar >= 1, "retrieval.k_similar", ">= 1", self.k_similar)
+        require(self.paths_k >= 1, "retrieval.paths_k", ">= 1", self.paths_k)
 
 
 @dataclass(frozen=True)
@@ -68,7 +94,13 @@ class PipelineConfig:
             raise ValidationError(
                 f"mode: {self.mode!r} is not one of {', '.join(MODES)}"
             )
-        self.resolution()  # building it checks the conflict-stage fields
+        require(self.tau is None or math.isfinite(self.tau), "tau", "finite", self.tau)
+        if self.fallback not in FALLBACKS:
+            raise ValidationError(f"fallback: unknown value {self.fallback!r}")
+        require(0 <= self.temperature < math.inf, "temperature", "finite and >= 0",
+                self.temperature)
+        require(self.max_tokens >= 1, "max_tokens", ">= 1", self.max_tokens)
+        require(self.logprob_top_k >= 1, "logprob_top_k", ">= 1", self.logprob_top_k)
         require(self.max_segment_tokens >= 1, "max_segment_tokens", ">= 1",
                 self.max_segment_tokens)
         require(self.parallelism >= 1, "parallelism", ">= 1", self.parallelism)
@@ -83,15 +115,6 @@ class PipelineConfig:
             if needle in model:
                 return value
         return DEFAULT_TAU
-
-    def resolution(self) -> ResolutionConfig:
-        return ResolutionConfig(
-            tau=self.effective_tau,
-            fallback=self.fallback,
-            logprob_top_k=self.logprob_top_k,
-            max_tokens=self.max_tokens,
-            temperature=self.temperature,
-        )
 
 
 # Each flat key's type, from the config fields with retrieval's inlined;

@@ -9,20 +9,14 @@ context for the final answer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .errors import (
-    EmptySequence,
-    FallbackExhausted,
-    ValidationError,
-    require,
-    require_field_types,
-)
+from .config import FALLBACK_NONE, FALLBACK_RAW_CONTEXT, FALLBACK_TOP_DELTA, PipelineConfig
+from .errors import EmptySequence, FallbackExhausted, ValidationError
 from .gateway import GenerationRequest, GenerationResult, ModelGateway, TokenLogprobs, gather
 from .prompts import ANSWER_AUGMENTED, ANSWER_PARAMETRIC, render
 from .retrieval import ReasoningPath
@@ -31,35 +25,6 @@ T = TypeVar("T")
 
 # Separates concatenated corrective contexts in the final prompt.
 CONTEXT_DELIMITER = "\n-----\n"
-
-FALLBACK_NONE = "none"
-FALLBACK_TOP_DELTA = "top_delta"
-FALLBACK_RAW_CONTEXT = "raw_context"
-FALLBACKS = (FALLBACK_TOP_DELTA, FALLBACK_RAW_CONTEXT)  # the configurable ones
-
-
-@dataclass(frozen=True)
-class ResolutionConfig:
-    """Generation and filtering knobs for the conflict stage."""
-
-    tau: float = 1.0
-    fallback: str = FALLBACK_TOP_DELTA
-    logprob_top_k: int = 10
-    max_tokens: int = 256
-    temperature: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_field_types(self, "resolution.")
-        require(math.isfinite(self.tau), "resolution.tau", "finite", self.tau)
-        if self.fallback not in FALLBACKS:
-            raise ValidationError(
-                f"resolution.fallback: unknown value {self.fallback!r}"
-            )
-        require(self.logprob_top_k >= 1, "resolution.logprob_top_k", ">= 1",
-                self.logprob_top_k)
-        require(self.max_tokens >= 1, "resolution.max_tokens", ">= 1", self.max_tokens)
-        require(0 <= self.temperature < math.inf, "resolution.temperature",
-                "finite and >= 0", self.temperature)
 
 
 @dataclass(frozen=True)
@@ -117,7 +82,7 @@ def mean_token_entropy(tokens: TokenLogprobs) -> float:
 
 
 def _generate(
-    query: str, context: str | None, gateway: ModelGateway, cfg: ResolutionConfig
+    query: str, context: str | None, gateway: ModelGateway, cfg: PipelineConfig
 ) -> GenerationResult:
     if context is None:
         prompt = render(ANSWER_PARAMETRIC, question=query)
@@ -134,21 +99,21 @@ def _generate(
 
 
 def plain_answer(
-    query: str, context: str | None, gateway: ModelGateway, cfg: ResolutionConfig
+    query: str, context: str | None, gateway: ModelGateway, cfg: PipelineConfig
 ) -> str:
     """Answer from parametric knowledge (context None) or the context, no entropy."""
     return _generate(query, context, gateway, cfg).text
 
 
 def _answer(
-    query: str, context: str | None, gateway: ModelGateway, cfg: ResolutionConfig
+    query: str, context: str | None, gateway: ModelGateway, cfg: PipelineConfig
 ) -> tuple[str, float]:
     result = _generate(query, context, gateway, cfg)
     return result.text, mean_token_entropy(result.tokens)
 
 
 def parametric_baseline(
-    query: str, gateway: ModelGateway, cfg: ResolutionConfig
+    query: str, gateway: ModelGateway, cfg: PipelineConfig
 ) -> tuple[str, float]:
     """Answer from parametric knowledge only; returns (answer, entropy).
 
@@ -171,25 +136,25 @@ def _probe(
     query: str,
     contexts: Sequence[str],
     gateway: ModelGateway,
-    cfg: ResolutionConfig,
-    parallelism: int,
+    cfg: PipelineConfig,
 ) -> EntropyReport:
     """The parametric baseline and each context's entropy delta, in one gather."""
     (parametric_answer, h_param), *measured = gather(
         [partial(parametric_baseline, query, gateway, cfg)]
         + [partial(_answer, query, c, gateway, cfg) for c in contexts],
-        parallelism,
+        cfg.parallelism,
     )
 
+    tau = cfg.effective_tau
     deltas = [h_aug - h_param for _ans, h_aug in measured]
-    chosen = set(filter_corrective(range(len(measured)), deltas, cfg.tau))
+    chosen = set(filter_corrective(range(len(measured)), deltas, tau))
     return EntropyReport(
         h_param=h_param,
         per_path=[
             PathEntropy(index=i, h_aug=h_aug, delta_h=deltas[i], corrective=i in chosen)
             for i, (_ans, h_aug) in enumerate(measured)
         ],
-        tau=cfg.tau,
+        tau=tau,
         parametric_answer=parametric_answer,
         augmented_answers=[ans for ans, _ in measured],
     )
@@ -199,9 +164,8 @@ def entropy_filtered_response(
     query: str,
     contexts: Sequence[str],
     gateway: ModelGateway,
-    cfg: ResolutionConfig,
+    cfg: PipelineConfig,
     raw_context: str | None = None,
-    parallelism: int = 1,
     filtered: bool = True,
 ) -> ResolutionOutcome:
     """Run the conflict loop over arbitrary context strings.
@@ -220,7 +184,7 @@ def entropy_filtered_response(
         )
 
     if filtered:
-        report = _probe(query, contexts, gateway, cfg, parallelism)
+        report = _probe(query, contexts, gateway, cfg)
         corrective = report.corrective_indexes()
     else:
         report, corrective = None, list(range(len(contexts)))
@@ -253,9 +217,8 @@ def resolve(
     query: str,
     p_super: Sequence[ReasoningPath],
     gateway: ModelGateway,
-    cfg: ResolutionConfig,
+    cfg: PipelineConfig,
     raw_context: str | None = None,
-    parallelism: int = 1,
 ) -> ResolutionOutcome:
     """Full conflict resolution over the selected reasoning paths.
 
@@ -268,9 +231,6 @@ def resolve(
         if path.rendered_context is None:
             raise ValidationError("resolve: every path needs a rendered context")
     contexts = [path.rendered_context for path in p_super]
-    outcome = entropy_filtered_response(
-        query, contexts, gateway, cfg,
-        raw_context=raw_context, parallelism=parallelism,
-    )
+    outcome = entropy_filtered_response(query, contexts, gateway, cfg, raw_context)
     outcome.corrective_paths = [p_super[i] for i in outcome.report.corrective_indexes()]
     return outcome

@@ -17,14 +17,8 @@ from pathlib import Path
 from typing import Callable
 
 from .config import PipelineConfig
-from .errors import (
-    DuplicateId,
-    EmptySequence,
-    MissingGoldSpans,
-    ParseError,
-    PipelineError,
-)
-from .gateway import ModelGateway, TokenLogprobs
+from .errors import DuplicateId, MissingGoldSpans, ParseError, PipelineError
+from .gateway import ModelGateway
 from .graph import _SENTENCE_BOUNDARY
 from .jsonio import read_json_lines, write_json
 from .pipeline import QueryTrace, answer_query, build_gateway
@@ -207,19 +201,6 @@ def cpr(processed_context: str, record: EvalRecord) -> float:
         if related:
             related_chars += end - start
     return min(1.0, max(0.0, related_chars / len(processed_context)))
-
-
-def confidence_logprob(tokens: TokenLogprobs) -> float:
-    """Mean negative log-probability (nats) of the chosen tokens.
-
-    Lower values mean higher model confidence in what it generated.
-    """
-    if len(tokens) == 0:
-        raise EmptySequence("confidence_logprob: no token positions")
-    total = 0.0
-    for pos in tokens.positions:
-        total += -pos.chosen_logprob()
-    return total / len(tokens)
 
 
 def _evaluate_record(

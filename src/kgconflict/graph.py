@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
+from .config import PipelineConfig
 from .errors import (
     DanglingReference,
     EmptyContent,
@@ -301,10 +302,7 @@ def _parse_extraction_response(text: str, seg: Segment) -> list[TripleExtraction
 
 
 def extract_triples(
-    seg: Segment,
-    gateway: ModelGateway,
-    max_tokens: int = 1024,
-    logprob_top_k: int = 10,
+    seg: Segment, gateway: ModelGateway, cfg: PipelineConfig
 ) -> list[TripleExtraction]:
     """Extract structured triples from one segment via the model.
 
@@ -316,8 +314,8 @@ def extract_triples(
     request = GenerationRequest(
         prompt=render(EXTRACT_TRIPLES, segment=seg.text),
         temperature=0.0,
-        max_tokens=max_tokens,
-        logprob_top_k=logprob_top_k,
+        max_tokens=cfg.max_tokens,
+        logprob_top_k=cfg.logprob_top_k,
     )
     try:
         return _parse_extraction_response(gateway.generate(request).text, seg)

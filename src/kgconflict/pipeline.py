@@ -91,8 +91,7 @@ def _extract_or_skip(seg: Segment, cfg: PipelineConfig,
                      gateway: ModelGateway) -> list[TripleExtraction] | None:
     """The segment's extractions, or None when the repair retry failed too."""
     try:
-        return extract_triples(seg, gateway, max_tokens=cfg.max_tokens,
-                               logprob_top_k=cfg.logprob_top_k)
+        return extract_triples(seg, gateway, cfg)
     except ExtractionParseError as exc:
         log.warning("skipping segment %d: %s", seg.id, exc)
         return None
@@ -101,8 +100,7 @@ def _extract_or_skip(seg: Segment, cfg: PipelineConfig,
 def _key_elements_or_error(question: str, cfg: PipelineConfig,
                            gateway: ModelGateway) -> QueryKeyElements | Exception:
     try:
-        return extract_key_elements(question, gateway, max_tokens=cfg.max_tokens,
-                                    logprob_top_k=cfg.logprob_top_k)
+        return extract_key_elements(question, gateway, cfg)
     except Exception as exc:  # raised only once the graph is known to be non-empty
         return exc
 
@@ -145,8 +143,7 @@ def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
     if graph.is_empty():
         return []
     if trace.key_elements is None:
-        trace.key_elements = extract_key_elements(
-            question, gateway, max_tokens=cfg.max_tokens, logprob_top_k=cfg.logprob_top_k)
+        trace.key_elements = extract_key_elements(question, gateway, cfg)
     important = top_k_important(graph, trace.key_elements, cfg.retrieval, gateway)
     trace.important_entities = list(important.entities)
     trace.important_relations = list(important.relations)
@@ -181,7 +178,6 @@ def answer_query(
     trace = QueryTrace(mode=cfg.mode, question=question)
 
     source, filtered = MODE_TABLE[cfg.mode]
-    resolution = cfg.resolution()
     raw = context if context.strip() else None
     t0 = time.perf_counter()
     if source == "paths":
@@ -193,21 +189,18 @@ def answer_query(
         trace.p_super = retrieve_phase(question, graph, cfg, gateway, trace)
     t2 = time.perf_counter()
     if source == "paths" and filtered:
-        outcome = resolve(question, trace.p_super, gateway, resolution,
-                          raw_context=raw, parallelism=cfg.parallelism)
+        outcome = resolve(question, trace.p_super, gateway, cfg, raw)
     elif source in ("paths", "segments"):
         contexts = ([p.rendered_context or "" for p in trace.p_super]
                     if source == "paths" else [s.text for s in trace.segments])
-        outcome = entropy_filtered_response(
-            question, contexts, gateway, resolution, raw_context=raw,
-            parallelism=cfg.parallelism, filtered=filtered,
-        )
+        outcome = entropy_filtered_response(question, contexts, gateway, cfg, raw,
+                                            filtered)
     else:  # the raw text, or no context at all, is the final context as it is
         if source == "raw" and raw is None:
             raise FallbackExhausted(f"{cfg.mode}: no context to answer from")
         final = raw if source == "raw" else None
         outcome = ResolutionOutcome(
-            response=plain_answer(question, final, gateway, resolution),
+            response=plain_answer(question, final, gateway, cfg),
             corrective_paths=[], fallback_used="", report=None, final_context=final or "",
         )
     t3 = time.perf_counter()

@@ -11,20 +11,13 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DanglingReference,
-    EmptyInput,
-    SchemaVersionMismatch,
-    ValidationError,
-    require,
-    require_field_types,
-)
+from .config import PipelineConfig, RetrievalConfig
+from .errors import DanglingReference, EmptyInput, SchemaVersionMismatch, ValidationError
 from .gateway import GenerationRequest, ModelGateway
 from .graph import KnowledgeGraph, _strip_code_fences
 from .jsonio import decode, read_json_object
@@ -56,24 +49,6 @@ class QueryKeyElements:
             if text:
                 seen.setdefault(text)
         return list(seen)
-
-
-@dataclass(frozen=True)
-class RetrievalConfig:
-    alpha: float = 0.5
-    beta: float = 0.5
-    k_similar: int = 10
-    paths_k: int = 10
-
-    def __post_init__(self) -> None:
-        require_field_types(self, "retrieval.")
-        require(0 <= self.alpha < math.inf, "retrieval.alpha", "finite and >= 0",
-                self.alpha)
-        require(0 <= self.beta < math.inf, "retrieval.beta", "finite and >= 0", self.beta)
-        if self.alpha + self.beta <= 0:
-            raise ValidationError("retrieval.alpha+beta: must be > 0")
-        require(self.k_similar >= 1, "retrieval.k_similar", ">= 1", self.k_similar)
-        require(self.paths_k >= 1, "retrieval.paths_k", ">= 1", self.paths_k)
 
 
 @dataclass(frozen=True)
@@ -186,10 +161,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def extract_key_elements(
-    query: str,
-    gateway: ModelGateway,
-    max_tokens: int = 256,
-    logprob_top_k: int = 10,
+    query: str, gateway: ModelGateway, cfg: PipelineConfig
 ) -> QueryKeyElements:
     """Ask the model for the query's target entities/relations/intent.
 
@@ -202,8 +174,8 @@ def extract_key_elements(
         GenerationRequest(
             prompt=render(KEY_ELEMENTS, query=query),
             temperature=0.0,
-            max_tokens=max_tokens,
-            logprob_top_k=logprob_top_k,
+            max_tokens=cfg.max_tokens,
+            logprob_top_k=cfg.logprob_top_k,
         )
     )
     fallback = QueryKeyElements(target_entities=(query,))
@@ -240,19 +212,6 @@ def _embed_distinct(
         text: _normed(np.asarray(vec.values, dtype=np.float64))
         for text, vec in zip(unique, gateway.embed(unique))
     }
-
-
-def similarity(
-    candidate_text: str,
-    key: QueryKeyElements,
-    gateway: ModelGateway,
-) -> float:
-    """Max cosine similarity between the candidate and any key string."""
-    if not candidate_text:
-        raise EmptyInput("similarity: empty candidate text")
-    keys = key.key_strings()
-    vectors = _embed_distinct([candidate_text, *keys], gateway)
-    return _max_cosine(vectors[candidate_text], [vectors[k] for k in keys])
 
 
 def _rank(

@@ -302,6 +302,22 @@ def test_eval_trace_writes_jsonl(replay_cli_files, capsys):
     assert json.loads(lines[0])["mode"] == "full"
 
 
+def test_eval_trace_is_rewritten_by_each_run(replay_cli_files):
+    out_dir = replay_cli_files["tmp"] / "eval-twice"
+    args = [
+        "eval",
+        "--mock-script", replay_cli_files["script"],
+        "--dataset", replay_cli_files["dataset"],
+        "--trace",
+        "--out", str(out_dir),
+    ]
+    assert main(args) == 0
+    assert main(args) == 0
+    rows = (out_dir / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    lines = (out_dir / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(rows) == 1
+
+
 def _build_replay_graph(files, graph_out, *extra):
     return main([
         "build-graph",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ import fixtures
 from kgconflict import (
     EmptySequence,
     FallbackExhausted,
+    PipelineConfig,
     ReasoningPath,
-    ResolutionConfig,
     TokenCandidate,
     TokenLogprobs,
     TokenPosition,
@@ -152,7 +152,7 @@ def test_parametric_baseline_uniform_pairs(tmp_path):
         fixtures.gen_entry("Answer the question from your own knowledge",
                            "answer", tokens, regex=True),
     ])
-    answer, h = parametric_baseline("q?", gw, ResolutionConfig())
+    answer, h = parametric_baseline("q?", gw, PipelineConfig())
     assert answer == "answer"
     assert h == pytest.approx(1.0, abs=1e-12)
 
@@ -162,13 +162,13 @@ def test_parametric_baseline_deterministic_answer_zero_entropy(tmp_path):
         fixtures.gen_entry("Answer the question from your own knowledge",
                            "fact", fixtures.one_token("fact"), regex=True),
     ])
-    _, h = parametric_baseline("q?", gw, ResolutionConfig())
+    _, h = parametric_baseline("q?", gw, PipelineConfig())
     assert h == 0.0
 
 
 def test_replay_parametric_answer_differs_from_gold(replay_gateway):
     answer, h = parametric_baseline(
-        fixtures.REPLAY_QUESTION, replay_gateway, ResolutionConfig()
+        fixtures.REPLAY_QUESTION, replay_gateway, PipelineConfig()
     )
     assert "Sinaloa" not in answer
     assert h == pytest.approx(fixtures.H_PARAM_BITS, abs=1e-12)
@@ -193,7 +193,7 @@ def test_same_distribution_gives_zero_delta(tmp_path):
                            "same", dist, regex=True),
     ])
     report = conflict.entropy_filtered_response(
-        "q?", ["ctx"], gw, ResolutionConfig()
+        "q?", ["ctx"], gw, PipelineConfig()
     ).report
     (probe,) = report.per_path
     assert probe.h_aug == report.h_param
@@ -211,7 +211,7 @@ def test_entropy_direction_of_change(tmp_path):
                            "base", base, regex=True),
     ])
     report = conflict.entropy_filtered_response(
-        "q?", ["conflicting evidence", "supporting evidence"], gw, ResolutionConfig()
+        "q?", ["conflicting evidence", "supporting evidence"], gw, PipelineConfig()
     ).report
     conflicting, supporting = report.per_path
     assert report.h_param == pytest.approx(fixtures.two_way_entropy_bits(0.9), abs=1e-12)
@@ -228,7 +228,7 @@ def test_resolve_requires_rendered_context(tmp_path):
     path = _rendered_path("x")
     path.rendered_context = None
     with pytest.raises(ValidationError, match="rendered context"):
-        resolve("q?", [path], gw, ResolutionConfig())
+        resolve("q?", [path], gw, PipelineConfig())
 
 
 def test_unfiltered_response_answers_from_every_context_without_a_probe(tmp_path):
@@ -237,7 +237,7 @@ def test_unfiltered_response_answers_from_every_context_without_a_probe(tmp_path
         "Use the reference information below", "ans",
         fixtures.sharp_tokens(["ans"], p=0.9), regex=True,
     )])
-    cfg = ResolutionConfig(fallback="raw_context")
+    cfg = PipelineConfig(fallback="raw_context")
     outcome = conflict.entropy_filtered_response(
         "q?", ["a", "b"], gw, cfg, raw_context="raw", filtered=False
     )
@@ -317,7 +317,7 @@ def _paths(n):
 
 def test_resolve_selects_corrective_paths(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False, True, False]))
-    outcome = resolve("q?", _paths(3), gw, ResolutionConfig(tau=1.0))
+    outcome = resolve("q?", _paths(3), gw, PipelineConfig(tau=1.0))
     assert outcome.fallback_used == "none"
     assert [p.rendered_context for p in outcome.corrective_paths] == [
         "ctx1 content"
@@ -335,7 +335,7 @@ def test_resolve_concatenates_multiple_corrective_contexts(tmp_path):
     # The concatenated two-context prompt needs its own entry; the ctx0
     # entry would match first, which is fine for response selection.
     gw = _gw(tmp_path, entries)
-    outcome = resolve("q?", _paths(3), gw, ResolutionConfig(tau=1.0))
+    outcome = resolve("q?", _paths(3), gw, PipelineConfig(tau=1.0))
     assert outcome.final_context == "ctx0 content\n-----\nctx2 content"
     assert [p.rendered_context for p in outcome.corrective_paths] == [
         "ctx0 content", "ctx2 content"
@@ -345,16 +345,24 @@ def test_resolve_concatenates_multiple_corrective_contexts(tmp_path):
 def test_resolve_falls_back_to_top_delta(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False, False]))
     outcome = resolve("q?", _paths(2), gw,
-                      ResolutionConfig(tau=5.0, fallback="top_delta"))
+                      PipelineConfig(tau=5.0, fallback="top_delta"))
     assert outcome.fallback_used == "top_delta"
     assert outcome.corrective_paths == []
     # Equal deltas: the first maximal path wins deterministically.
     assert outcome.final_context == "ctx0 content"
 
 
+def test_resolve_takes_an_unset_tau_from_the_model_table(tmp_path):
+    # The corrective path's delta (~1.5 bits) clears 1.0 but not Qwen's 3.0.
+    gw = _gw(tmp_path, _resolution_entries([False, True]))
+    outcome = resolve("q?", _paths(2), gw, PipelineConfig(model_id="Qwen2.5-7B-Instruct"))
+    assert outcome.report.tau == 3.0
+    assert outcome.fallback_used == "top_delta"
+
+
 def test_resolve_raw_context_fallback_when_no_paths(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([]))
-    outcome = resolve("q?", [], gw, ResolutionConfig(tau=1.0),
+    outcome = resolve("q?", [], gw, PipelineConfig(tau=1.0),
                       raw_context="the raw retrieved text")
     assert outcome.fallback_used == "raw_context"
     assert outcome.response == "raw"
@@ -364,7 +372,7 @@ def test_resolve_raw_context_fallback_when_no_paths(tmp_path):
 def test_resolve_configured_raw_fallback_wins_over_paths(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False]))
     outcome = resolve("q?", _paths(1), gw,
-                      ResolutionConfig(tau=5.0, fallback="raw_context"),
+                      PipelineConfig(tau=5.0, fallback="raw_context"),
                       raw_context="the raw retrieved text")
     assert outcome.fallback_used == "raw_context"
 
@@ -372,25 +380,25 @@ def test_resolve_configured_raw_fallback_wins_over_paths(tmp_path):
 def test_resolve_raw_fallback_cascades_to_top_delta_without_raw(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False]))
     outcome = resolve("q?", _paths(1), gw,
-                      ResolutionConfig(tau=5.0, fallback="raw_context"))
+                      PipelineConfig(tau=5.0, fallback="raw_context"))
     assert outcome.fallback_used == "top_delta"
 
 
 def test_resolve_exhausted_without_paths_or_raw(tmp_path):
     gw = _gw(tmp_path, [])
     with pytest.raises(FallbackExhausted):
-        resolve("q?", [], gw, ResolutionConfig())
+        resolve("q?", [], gw, PipelineConfig())
 
 
 def test_resolve_corrective_nonempty_implies_no_fallback(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([True]))
-    outcome = resolve("q?", _paths(1), gw, ResolutionConfig(tau=1.0))
+    outcome = resolve("q?", _paths(1), gw, PipelineConfig(tau=1.0))
     assert outcome.corrective_paths and outcome.fallback_used == "none"
 
 
 def test_resolve_deterministic_across_calls(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False, True]))
-    cfg = ResolutionConfig(tau=1.0)
+    cfg = PipelineConfig(tau=1.0)
     first = resolve("q?", _paths(2), gw, cfg)
     second = resolve("q?", _paths(2), gw, cfg)
     assert first.response == second.response
@@ -400,9 +408,9 @@ def test_resolve_deterministic_across_calls(tmp_path):
 
 def test_resolve_parallel_equals_serial(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False, True, False, True]))
-    cfg = ResolutionConfig(tau=1.0)
-    serial = resolve("q?", _paths(4), gw, cfg, parallelism=1)
-    parallel = resolve("q?", _paths(4), gw, cfg, parallelism=4)
+    cfg = PipelineConfig(tau=1.0)
+    serial = resolve("q?", _paths(4), gw, cfg)
+    parallel = resolve("q?", _paths(4), gw, replace(cfg, parallelism=4))
     assert serial.report == parallel.report
     assert serial.response == parallel.response
 
@@ -421,9 +429,8 @@ def test_final_answer_reuses_only_an_identical_probe_at_temperature_0(
     tmp_path, flat, settings, raw, final_call, parallelism
 ):
     gw = fixtures.RecordingGateway(_gw(tmp_path, _resolution_entries(flat)))
-    cfg = ResolutionConfig(**{"tau": 1.0, **settings})
-    outcome = resolve("q?", _paths(len(flat)), gw, cfg, raw_context=raw,
-                      parallelism=parallelism)
+    cfg = PipelineConfig(**{"tau": 1.0, "parallelism": parallelism, **settings})
+    outcome = resolve("q?", _paths(len(flat)), gw, cfg, raw_context=raw)
     prompts = [req.prompt for req in gw.requests]
     assert len(prompts) == 1 + len(flat) + final_call
     assert (CONTEXT_DELIMITER in outcome.final_context) == (len(
@@ -443,14 +450,14 @@ def test_resolve_computes_entropy_once_per_probe(tmp_path, monkeypatch):
 
     monkeypatch.setattr(conflict, "mean_token_entropy", counting)
     gw = _gw(tmp_path, _resolution_entries([False, True, False]))
-    outcome = resolve("q?", _paths(3), gw, ResolutionConfig(tau=1.0))
+    outcome = resolve("q?", _paths(3), gw, PipelineConfig(tau=1.0))
     assert outcome.fallback_used == "none"
     assert len(calls) == 3 + 1
 
 
 def test_entropy_report_round_trips_via_dict(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([True, False]))
-    outcome = resolve("q?", _paths(2), gw, ResolutionConfig(tau=1.0))
+    outcome = resolve("q?", _paths(2), gw, PipelineConfig(tau=1.0))
     report = outcome.report
     assert asdict(report)["per_path"] == [
         {"index": p.index, "h_aug": p.h_aug, "delta_h": p.delta_h,

@@ -1,9 +1,8 @@
-"""Dataset loading, accuracy, CPR, confidence, and the eval runner."""
+"""Dataset loading, accuracy, CPR, and the eval runner."""
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 from dataclasses import replace
@@ -14,15 +13,10 @@ import fixtures
 
 from kgconflict import (
     DuplicateId,
-    EmptySequence,
     EvalRecord,
     MissingGoldSpans,
     ParseError,
     PipelineConfig,
-    TokenCandidate,
-    TokenLogprobs,
-    TokenPosition,
-    confidence_logprob,
     cpr,
     is_correct,
     load_dataset,
@@ -211,43 +205,6 @@ def test_cpr_always_within_unit_interval():
             for i in range(0, 20, 5)
         ) + "."
         assert 0.0 <= cpr(processed, record) <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# confidence_logprob
-
-
-def _chosen_tokens(logprobs: list[float]) -> TokenLogprobs:
-    positions = tuple(
-        TokenPosition(
-            token=f"t{i}",
-            candidates=(TokenCandidate(token=f"t{i}", logprob=lp),),
-        )
-        for i, lp in enumerate(logprobs)
-    )
-    return TokenLogprobs(positions=positions)
-
-
-def test_confidence_all_certain_is_zero():
-    assert confidence_logprob(_chosen_tokens([0.0, 0.0])) == 0.0
-
-
-def test_confidence_half_probability_in_nats():
-    value = confidence_logprob(_chosen_tokens([math.log(0.5)]))
-    assert value == pytest.approx(-math.log(0.5), abs=1e-6)
-    assert value == pytest.approx(0.693, abs=1e-3)
-
-
-def test_confidence_mean_invariant_under_duplication():
-    lps = [math.log(0.5), math.log(0.25)]
-    single = confidence_logprob(_chosen_tokens(lps))
-    doubled = confidence_logprob(_chosen_tokens(lps + lps))
-    assert doubled == pytest.approx(single, abs=1e-12)
-
-
-def test_confidence_empty_rejected():
-    with pytest.raises(EmptySequence):
-        confidence_logprob(TokenLogprobs(positions=()))
 
 
 # ---------------------------------------------------------------------------

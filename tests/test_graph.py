@@ -16,6 +16,7 @@ from kgconflict import (
     EmptyContent,
     ExtractionParseError,
     KnowledgeGraph,
+    PipelineConfig,
     SchemaVersionMismatch,
     Triple,
     build_graph,
@@ -27,6 +28,8 @@ from kgconflict import (
     segment,
 )
 from kgconflict.graph import graph_from_dict, graph_to_dict
+
+CFG = PipelineConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,7 @@ def _extraction_gateway(tmp_path, entries):
 
 def test_extract_triples_scripted_replay(tmp_path, replay_gateway):
     seg = segment(fixtures.REPLAY_CONTEXT, 256)[0]
-    extracted = extract_triples(seg, replay_gateway)
+    extracted = extract_triples(seg, replay_gateway, CFG)
     assert len(extracted) == len(fixtures.REPLAY_TRIPLES)
     assert all(e.triple.source_segment == seg.id for e in extracted)
     keyed = {
@@ -150,7 +153,7 @@ def test_extract_triples_empty_array(tmp_path):
                            fixtures.one_token("[]"), regex=True),
     ])
     seg = segment("Nothing here.", 256)[0]
-    assert extract_triples(seg, gw) == []
+    assert extract_triples(seg, gw, CFG) == []
 
 
 def test_extract_triples_malformed_fails_after_repair_retry(tmp_path):
@@ -160,7 +163,7 @@ def test_extract_triples_malformed_fails_after_repair_retry(tmp_path):
     ])
     seg = segment("Some text.", 256)[0]
     with pytest.raises(ExtractionParseError):
-        extract_triples(seg, gw)
+        extract_triples(seg, gw, CFG)
 
 
 def test_extract_triples_repair_retry_succeeds(tmp_path):
@@ -176,7 +179,7 @@ def test_extract_triples_repair_retry_succeeds(tmp_path):
                            fixtures.one_token("oops"), regex=True),
     ])
     seg = segment("Some text.", 256)[0]
-    extracted = extract_triples(seg, gw)
+    extracted = extract_triples(seg, gw, CFG)
     assert [(e.triple.head, e.triple.relation, e.triple.tail)
             for e in extracted] == [("a", "r", "b")]
 
@@ -191,7 +194,7 @@ def test_extract_triples_strips_code_fences(tmp_path):
                            fixtures.one_token(fenced), regex=True),
     ])
     seg = segment("Some text.", 256)[0]
-    extracted = extract_triples(seg, gw)
+    extracted = extract_triples(seg, gw, CFG)
     assert len(extracted) == 1
     assert extracted[0].head_desc == ""
 
@@ -204,7 +207,7 @@ def test_extract_triples_rejects_empty_head(tmp_path):
     ])
     seg = segment("Some text.", 256)[0]
     with pytest.raises(ExtractionParseError):
-        extract_triples(seg, gw)
+        extract_triples(seg, gw, CFG)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import threading
 import time
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,6 @@ import fixtures
 from kgconflict import (
     FallbackExhausted,
     PipelineConfig,
-    ResolutionConfig,
     RetrievalConfig,
     ScriptMiss,
     ValidationError,
@@ -25,6 +26,7 @@ from kgconflict import (
     resolve,
     segment,
 )
+from kgconflict import config
 from kgconflict.config import MODE_TABLE, MODEL_TAU_DEFAULTS, MODES
 from kgconflict.jsonio import decode
 from kgconflict.pipeline import build_gateway
@@ -192,7 +194,7 @@ def test_trace_replays_resolution(replay_config, replay_gateway, tmp_path):
     rebuilt = decode(list[ReasoningPath], dumped["p_super"], "p_super")
     outcome = resolve(
         dumped["question"], rebuilt, replay_gateway,
-        replay_config.resolution(),
+        replay_config,
         raw_context=fixtures.REPLAY_CONTEXT,
     )
     assert outcome.response == response
@@ -459,14 +461,14 @@ def test_validation_error_messages_carry_field_path():
 
 
 @pytest.mark.parametrize("build, message", [
-    pytest.param(lambda: ResolutionConfig(tau=math.nan),
-                 "resolution.tau: must be finite, got nan", id="resolution"),
+    pytest.param(lambda: PipelineConfig(tau=math.nan),
+                 "tau: must be finite, got nan", id="resolution"),
     pytest.param(lambda: RetrievalConfig(paths_k=0),
                  "retrieval.paths_k: must be >= 1, got 0", id="retrieval"),
     pytest.param(lambda: PipelineConfig(max_segment_tokens=0),
                  "max_segment_tokens: must be >= 1, got 0", id="pipeline"),
     pytest.param(lambda: PipelineConfig(temperature=-1.0),
-                 "resolution.temperature: must be finite and >= 0, got -1.0",
+                 "temperature: must be finite and >= 0, got -1.0",
                  id="pipeline-resolution"),
 ])
 def test_config_is_checked_when_built(build, message):
@@ -489,6 +491,29 @@ def test_parse_config_override_must_have_its_key_type(key, value, expects):
     assert str(err.value) == f"{key}: must be {expects}, got {value!r}"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tau", math.nan), ("fallback", "nope"), ("temperature", -1.0),
+    ("max_tokens", 0), ("logprob_top_k", 0),
+])
+def test_conflict_stage_errors_name_the_key_the_user_wrote(key, value):
+    with pytest.raises(ValidationError) as err:
+        parse_config(None, {key: value})
+    assert str(err.value).startswith(f"{key}:")
+
+
+def test_config_imports_nothing_of_the_package_but_errors():
+    """Every stage imports the config, so the config imports no stage."""
+    tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("kgconflict")):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.startswith("kgconflict"))
+    assert imported == {"errors"}
+
+
 def test_parse_config_override_takes_an_int_for_a_float_key():
     cfg = parse_config(None, {"tau": 2})
     assert cfg.tau == 2.0 and type(cfg.tau) is float
@@ -505,8 +530,8 @@ def test_parse_config_override_takes_an_int_for_a_float_key():
                  "retrieval.k_similar: must be an integer, got True", id="bool-for-int"),
     pytest.param(lambda: RetrievalConfig(alpha=False),
                  "retrieval.alpha: must be a number, got False", id="bool-for-float"),
-    pytest.param(lambda: ResolutionConfig(tau=10**400),
-                 f"resolution.tau: must be a number, got {10**400}",
+    pytest.param(lambda: PipelineConfig(tau=10**400),
+                 f"tau: must be a number, got {10**400}",
                  id="int-too-large-for-a-float"),
     pytest.param(lambda: PipelineConfig(retrieval={"k_similar": 3}),
                  "retrieval: must be a RetrievalConfig, got {'k_similar': 3}",
@@ -522,5 +547,4 @@ def test_config_stores_an_int_for_a_float_field_as_a_float():
     cfg = PipelineConfig(tau=2, temperature=1, retrieval=RetrievalConfig(alpha=1))
     assert cfg.tau == 2.0 and type(cfg.tau) is float
     assert type(cfg.temperature) is float and type(cfg.retrieval.alpha) is float
-    assert type(cfg.resolution().temperature) is float
     assert PipelineConfig(tau=None).tau is None

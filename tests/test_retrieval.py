@@ -15,6 +15,7 @@ from kgconflict import (
     DanglingReference,
     EmptyInput,
     ImportantSets,
+    PipelineConfig,
     QueryKeyElements,
     ReasoningPath,
     RetrievalConfig,
@@ -26,10 +27,11 @@ from kgconflict import (
     load_mock_script,
     score_path,
     select_super_paths,
-    similarity,
     top_k_important,
 )
 from kgconflict.retrieval import PathEdge, _max_cosine, _normed, cosine
+
+CFG = PipelineConfig()
 
 
 def _gw(tmp_path, entries):
@@ -47,14 +49,14 @@ def test_key_elements_scripted(tmp_path):
         fixtures.gen_entry("Identify the key elements", json.dumps(reply),
                            fixtures.one_token(json.dumps(reply)), regex=True),
     ])
-    key = extract_key_elements("capital of France?", gw)
+    key = extract_key_elements("capital of France?", gw, CFG)
     assert key.target_entities == ("France",)
     assert key.target_relations == ("capital of",)
     assert key.intent == "capital city"
 
 
 def test_key_elements_replay_query(replay_gateway):
-    key = extract_key_elements(fixtures.REPLAY_QUESTION, replay_gateway)
+    key = extract_key_elements(fixtures.REPLAY_QUESTION, replay_gateway, CFG)
     assert "Ciudad Deportiva" in key.target_entities
 
 
@@ -64,7 +66,7 @@ def test_key_elements_all_empty_falls_back_to_query(tmp_path):
         fixtures.gen_entry("Identify the key elements", json.dumps(reply),
                            fixtures.one_token(json.dumps(reply)), regex=True),
     ])
-    key = extract_key_elements("who owns X?", gw)
+    key = extract_key_elements("who owns X?", gw, CFG)
     assert key.target_entities == ("who owns X?",)
 
 
@@ -73,14 +75,14 @@ def test_key_elements_parse_error_falls_back(tmp_path):
         fixtures.gen_entry("Identify the key elements", "not json at all",
                            fixtures.one_token("not json at all"), regex=True),
     ])
-    key = extract_key_elements("who owns X?", gw)
+    key = extract_key_elements("who owns X?", gw, CFG)
     assert key.target_entities == ("who owns X?",)
 
 
 def test_key_elements_empty_query_rejected(tmp_path):
     gw = _gw(tmp_path, [])
     with pytest.raises(EmptyInput):
-        extract_key_elements("  ", gw)
+        extract_key_elements("  ", gw, CFG)
 
 
 def test_query_key_elements_requires_something():
@@ -89,22 +91,32 @@ def test_query_key_elements_requires_something():
 
 
 # ---------------------------------------------------------------------------
-# Similarity
+# Similarity: the score top_k_important ranks an entity by
+
+
+def _entity_scores(gw, head: str, key_entities: tuple[str, ...]) -> dict[str, float]:
+    """top_k_important's score for each entity of a one-triple graph."""
+    graph = build_graph([fixtures.make_extraction(head, "rel", "other")])
+    key = QueryKeyElements(target_entities=key_entities)
+    return dict(top_k_important(graph, key, RetrievalConfig(), gw).entities)
+
+
+# The other graph names ("rel", "other") need a vector of the same width.
+_OTHER_NAMES = fixtures.embed_entry(".*", [1.0, 1.0], regex=True)
 
 
 def test_similarity_identical_text_is_one(tmp_path):
-    gw = _gw(tmp_path, [])
-    key = QueryKeyElements(target_entities=("alpha beta",))
-    assert similarity("alpha beta", key, gw) == pytest.approx(1.0, abs=1e-9)
+    scores = _entity_scores(_gw(tmp_path, []), "alpha beta", ("alpha beta",))
+    assert scores["alpha beta"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_similarity_orthogonal_override_is_zero(tmp_path):
     gw = _gw(tmp_path, [
         fixtures.embed_entry("x", [1.0, 0.0]),
         fixtures.embed_entry("y", [0.0, 1.0]),
+        _OTHER_NAMES,
     ])
-    key = QueryKeyElements(target_entities=("y",))
-    assert similarity("x", key, gw) == pytest.approx(0.0, abs=1e-9)
+    assert _entity_scores(gw, "x", ("y",))["x"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_similarity_is_max_over_key_strings(tmp_path):
@@ -112,21 +124,16 @@ def test_similarity_is_max_over_key_strings(tmp_path):
         fixtures.embed_entry("cand", [1.0, 0.0]),
         fixtures.embed_entry("k1", [0.0, 1.0]),
         fixtures.embed_entry("k2", [0.6, 0.8]),
+        _OTHER_NAMES,
     ])
-    key = QueryKeyElements(target_entities=("k1", "k2"))
     cand = np.array([1.0, 0.0])
     expected = max(
         cosine(cand, np.array([0.0, 1.0])),
         cosine(cand, np.array([0.6, 0.8])),
     )
-    assert similarity("cand", key, gw) == pytest.approx(expected, abs=1e-12)
-    assert similarity("cand", key, gw) == pytest.approx(0.6, abs=1e-9)
-
-
-def test_similarity_empty_candidate_rejected(tmp_path):
-    gw = _gw(tmp_path, [])
-    with pytest.raises(EmptyInput):
-        similarity("", QueryKeyElements(target_entities=("a",)), gw)
+    score = _entity_scores(gw, "cand", ("k1", "k2"))["cand"]
+    assert score == pytest.approx(expected, abs=1e-12)
+    assert score == pytest.approx(0.6, abs=1e-9)
 
 
 def _per_pair_cosine(u, v):
@@ -219,7 +226,7 @@ def test_top_k_tie_breaks_lexicographically(tmp_path):
 
 def test_top_k_replay_contains_query_entity(replay_gateway):
     graph = build_graph(fixtures.replay_extractions())
-    key = extract_key_elements(fixtures.REPLAY_QUESTION, replay_gateway)
+    key = extract_key_elements(fixtures.REPLAY_QUESTION, replay_gateway, CFG)
     important = top_k_important(graph, key, RetrievalConfig(), replay_gateway)
     assert "ciudad deportiva" in important.entity_ids()
 
@@ -593,7 +600,7 @@ def test_contextualize_dangling_reference():
 
 def test_super_paths_start_at_important_entities(replay_gateway):
     graph = build_graph(fixtures.replay_extractions())
-    key = extract_key_elements(fixtures.REPLAY_QUESTION, replay_gateway)
+    key = extract_key_elements(fixtures.REPLAY_QUESTION, replay_gateway, CFG)
     cfg = RetrievalConfig()
     important = top_k_important(graph, key, cfg, replay_gateway)
     paths = enumerate_paths(graph, important)
