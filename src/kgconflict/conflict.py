@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import FALLBACK_NONE, FALLBACK_RAW_CONTEXT, FALLBACK_TOP_DELTA, PipelineConfig
 from .errors import EmptySequence, FallbackExhausted, ValidationError
-from .gateway import GenerationRequest, GenerationResult, ModelGateway, TokenLogprobs, gather
+from .gateway import GenerationResult, ModelGateway, TokenLogprobs, ask, gather
 from .prompts import ANSWER_AUGMENTED, ANSWER_PARAMETRIC, render
 from .retrieval import ReasoningPath
 
@@ -88,14 +88,7 @@ def _generate(
         prompt = render(ANSWER_PARAMETRIC, question=query)
     else:
         prompt = render(ANSWER_AUGMENTED, context=context, question=query)
-    return gateway.generate(
-        GenerationRequest(
-            prompt=prompt,
-            temperature=cfg.temperature,
-            max_tokens=cfg.max_tokens,
-            logprob_top_k=cfg.logprob_top_k,
-        )
-    )
+    return ask(gateway, prompt, cfg, cfg.temperature)
 
 
 def plain_answer(

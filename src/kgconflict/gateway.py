@@ -1,9 +1,10 @@
 """Model gateway: request/response types and the deterministic mock backend.
 
 A gateway exposes two operations: ``generate`` (text plus per-token top-k
-candidate log-probabilities) and ``embed`` (dense vectors). The mock backend
-answers both from a JSON Lines script so the whole pipeline runs offline and
-bit-identically across runs.
+candidate log-probabilities) and ``embed`` (dense vectors). Every pipeline
+stage asks the model through ``ask``. The mock backend answers both from a
+JSON Lines script so the whole pipeline runs offline and bit-identically
+across runs.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import EmptyInput, ParseError, ScriptMiss, ValidationError, require
 from .jsonio import read_json_lines
 
@@ -120,7 +122,6 @@ class GenerationResult:
     text: str
     tokens: TokenLogprobs
     model_id: str
-    latency: float  # seconds
 
 
 @dataclass(frozen=True)
@@ -132,13 +133,26 @@ class EmbeddingVector:
             raise ValidationError("EmbeddingVector: non-finite component")
 
 
-@runtime_checkable
 class ModelGateway(Protocol):
     """Uniform interface over generative + embedding backends."""
 
     def generate(self, req: GenerationRequest) -> GenerationResult: ...
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]: ...
+
+
+def ask(
+    gateway: ModelGateway, prompt: str, cfg: PipelineConfig, temperature: float = 0.0
+) -> GenerationResult:
+    """Send one prompt with the config's ``max_tokens`` and ``logprob_top_k``.
+
+    Structured calls (extraction, its repair, key elements) keep temperature
+    0; only the answer calls pass ``cfg.temperature``.
+    """
+    return gateway.generate(GenerationRequest(
+        prompt=prompt, temperature=temperature, max_tokens=cfg.max_tokens,
+        logprob_top_k=cfg.logprob_top_k,
+    ))
 
 
 def gather(calls: Sequence[Callable[[], T]], parallelism: int) -> list[T]:
@@ -238,7 +252,6 @@ class MockGateway:
                 text=entry.text,
                 tokens=entry.tokens,
                 model_id=req.model_id or "mock-chat",
-                latency=0.0,
             )
         preview = req.prompt if len(req.prompt) <= 120 else req.prompt[:117] + "..."
         raise ScriptMiss(f"no script entry matches prompt: {preview!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     require,
 )
-from .gateway import GenerationRequest, ModelGateway
+from .gateway import ModelGateway, ask
 from .jsonio import decode, read_json_object, write_json
 from .prompts import EXTRACT_TRIPLES, REPAIR_NOTE, render
 
@@ -252,7 +252,7 @@ def _strip_code_fences(text: str) -> str:
 def _parse_extraction_response(text: str, seg: Segment) -> list[TripleExtraction]:
     try:
         data = json.loads(_strip_code_fences(text))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a 4,301-digit integer, deep nesting
         raise ExtractionParseError(
             f"segment {seg.id}: extraction output is not valid JSON: {exc}"
         ) from exc
@@ -311,19 +311,14 @@ def extract_triples(
     failure raises ExtractionParseError, which callers treat as "skip this
     segment".
     """
-    request = GenerationRequest(
-        prompt=render(EXTRACT_TRIPLES, segment=seg.text),
-        temperature=0.0,
-        max_tokens=cfg.max_tokens,
-        logprob_top_k=cfg.logprob_top_k,
-    )
+    prompt = render(EXTRACT_TRIPLES, segment=seg.text)
     try:
-        return _parse_extraction_response(gateway.generate(request).text, seg)
+        return _parse_extraction_response(ask(gateway, prompt, cfg).text, seg)
     except ExtractionParseError as first_error:
         log.warning("segment %d: retrying extraction after parse failure: %s",
                     seg.id, first_error)
-        repair = replace(request, prompt=request.prompt + "\n\n" + REPAIR_NOTE)
-        return _parse_extraction_response(gateway.generate(repair).text, seg)
+        repair = prompt + "\n\n" + REPAIR_NOTE
+        return _parse_extraction_response(ask(gateway, repair, cfg).text, seg)
 
 
 class _AttributeAccumulator:

@@ -119,10 +119,8 @@ class HttpGateway:
             "logprobs": True,
             "top_logprobs": req.logprob_top_k,
         }
-        start = time.perf_counter()
         body = self._post(f"{self.base_url}/chat/completions", payload)
-        latency = time.perf_counter() - start
-        return _parse_chat_response(body, req, self.model_id, latency)
+        return _parse_chat_response(body, req, self.model_id)
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         _check_texts(texts)
@@ -174,7 +172,7 @@ def _number(value: object, what: str) -> float:
 
 
 def _parse_chat_response(
-    body: dict, req: GenerationRequest, default_model: str, latency: float
+    body: dict, req: GenerationRequest, default_model: str
 ) -> GenerationResult:
     choices = body.get("choices")
     if not isinstance(choices, list) or not choices:
@@ -229,9 +227,4 @@ def _parse_chat_response(
         tokens.validate()
     except ValidationError as exc:
         raise ParseError(f"chat response logprobs violate invariants: {exc}") from exc
-    return GenerationResult(
-        text=text,
-        tokens=tokens,
-        model_id=req.model_id or default_model,
-        latency=latency,
-    )
+    return GenerationResult(text=text, tokens=tokens, model_id=req.model_id or default_model)

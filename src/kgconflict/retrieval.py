@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import PipelineConfig, RetrievalConfig
 from .errors import DanglingReference, EmptyInput, SchemaVersionMismatch, ValidationError
-from .gateway import GenerationRequest, ModelGateway
+from .gateway import ModelGateway, ask
 from .graph import KnowledgeGraph, _strip_code_fences
 from .jsonio import decode, read_json_object
 from .prompts import KEY_ELEMENTS, render
@@ -170,18 +170,11 @@ def extract_key_elements(
     """
     if not query or not query.strip():
         raise EmptyInput("extract_key_elements: empty query")
-    result = gateway.generate(
-        GenerationRequest(
-            prompt=render(KEY_ELEMENTS, query=query),
-            temperature=0.0,
-            max_tokens=cfg.max_tokens,
-            logprob_top_k=cfg.logprob_top_k,
-        )
-    )
+    result = ask(gateway, render(KEY_ELEMENTS, query=query), cfg)
     fallback = QueryKeyElements(target_entities=(query,))
     try:
         data = json.loads(_strip_code_fences(result.text))
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # also a 4,301-digit integer, deep nesting
         log.warning("key-element reply was not JSON; falling back to raw query")
         return fallback
     if not isinstance(data, dict):

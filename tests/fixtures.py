@@ -76,6 +76,15 @@ def write_script(path: Path, entries: list[dict]) -> Path:
     return path
 
 
+# Replies that json.loads refuses with a plain ValueError (an integer past the
+# 4,300-digit conversion limit) or a RecursionError (deep nesting) rather
+# than a JSONDecodeError.
+HOSTILE_JSON_REPLIES = {
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "huge-integer": "[" + "1" * 5000 + "]",
+}
+
+
 class RecordingGateway:
     """Passes every call to ``inner`` and keeps its requests and embed inputs."""
 

@@ -318,6 +318,21 @@ def test_eval_trace_is_rewritten_by_each_run(replay_cli_files):
     assert len(lines) == len(rows) == 1
 
 
+def test_eval_without_trace_removes_an_earlier_trace(replay_cli_files):
+    out_dir = replay_cli_files["tmp"] / "eval-untraced"
+    args = [
+        "eval",
+        "--mock-script", replay_cli_files["script"],
+        "--dataset", replay_cli_files["dataset"],
+        "--out", str(out_dir),
+    ]
+    assert main([*args, "--trace"]) == 0
+    assert (out_dir / "trace.jsonl").exists()
+    assert main(args) == 0
+    assert (out_dir / "results.csv").exists()
+    assert not (out_dir / "trace.jsonl").exists()
+
+
 def _build_replay_graph(files, graph_out, *extra):
     return main([
         "build-graph",
@@ -378,6 +393,31 @@ def test_unreadable_segment_is_skipped_by_pipeline_and_cli(replay_cli_files,
     ])
     assert code == 0
     assert "6 triples (2 segments, 1 skipped)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("reply", list(fixtures.HOSTILE_JSON_REPLIES.values()),
+                         ids=list(fixtures.HOSTILE_JSON_REPLIES))
+def test_answer_survives_hostile_json_replies(replay_cli_files, tmp_path, reply):
+    """Every model reply, extraction and key elements included, is a JSON
+    text the parser refuses with something other than a JSONDecodeError: the
+    only segment is skipped, the key elements fall back to the question, and
+    the answer is the parametric reply."""
+    import subprocess
+    import sys
+
+    script = fixtures.write_script(tmp_path / "hostile.jsonl", [
+        fixtures.gen_entry("", reply, fixtures.one_token(reply), regex=True),
+    ])
+    run = subprocess.run([
+        sys.executable, "-m", "kgconflict", "answer",
+        "--mock-script", str(script),
+        "--question", fixtures.REPLAY_QUESTION,
+        "--context", replay_cli_files["context"],
+    ], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-300:]
+    assert "Traceback" not in run.stderr
+    assert "skipping segment 0" in run.stderr
+    assert run.stdout.strip() == reply
 
 
 def test_build_graph_blank_context_exits_one(replay_cli_files, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
 import json
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import fixtures
 
+import kgconflict
 from kgconflict import (
     BackendUnavailable,
     EmptyInput,
@@ -36,6 +38,7 @@ from kgconflict import (
     cosine,
     load_mock_script,
 )
+from kgconflict.gateway import GenerationResult, ModelGateway
 from kgconflict.http_gateway import _parse_chat_response
 
 
@@ -178,7 +181,6 @@ def test_mock_generate_is_bit_identical(tmp_path):
     first = gw.generate(GenerationRequest(prompt="Q"))
     second = gw.generate(GenerationRequest(prompt="Q"))
     assert first == second
-    assert first.latency == 0.0
 
 
 def test_candidate_mass_within_tolerance(tmp_path):
@@ -717,7 +719,7 @@ def _parses_or_raises_pipeline_error(call) -> None:
 def test_chat_reply_parser_fuzz(body):
     request = GenerationRequest(prompt="q", logprob_top_k=2)
     _parses_or_raises_pipeline_error(
-        lambda: _parse_chat_response(body, request, "m1", 0.0))
+        lambda: _parse_chat_response(body, request, "m1"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -727,3 +729,31 @@ def test_embed_reply_parser_fuzz(body):
     gateway = HttpGateway("http://127.0.0.1:9/v1", model_id="m1")
     gateway._post = lambda url, payload: body
     _parses_or_raises_pipeline_error(lambda: gateway.embed(["a", "b"]))
+
+
+# ---------------------------------------------------------------------------
+# One call site: every model request is built and sent by gateway.ask
+
+
+def _model_call_sites(node: ast.AST, where: str, found: set) -> None:
+    """Add (callee, enclosing module.class.function) for each call that
+    builds a GenerationRequest or calls a ``generate``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("GenerationRequest", "generate"):
+                found.add((name, where))
+        scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        _model_call_sites(child, f"{where}.{child.name}" if scope else where, found)
+
+
+def test_gateway_ask_is_the_only_model_call_site():
+    package = Path(kgconflict.__file__).parent
+    found: set = set()
+    for path in sorted(package.glob("*.py")):
+        _model_call_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, found)
+    assert found == {("GenerationRequest", "gateway.ask"), ("generate", "gateway.ask")}
+    # Nothing reads a reply's latency or checks a gateway with isinstance.
+    assert "latency" not in GenerationResult.__dataclass_fields__
+    assert not getattr(ModelGateway, "_is_runtime_protocol", False)

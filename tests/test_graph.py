@@ -28,6 +28,7 @@ from kgconflict import (
     segment,
 )
 from kgconflict.graph import graph_from_dict, graph_to_dict
+from kgconflict.prompts import REPAIR_NOTE
 
 CFG = PipelineConfig()
 
@@ -164,6 +165,19 @@ def test_extract_triples_malformed_fails_after_repair_retry(tmp_path):
     seg = segment("Some text.", 256)[0]
     with pytest.raises(ExtractionParseError):
         extract_triples(seg, gw, CFG)
+
+
+@pytest.mark.parametrize("reply", list(fixtures.HOSTILE_JSON_REPLIES.values()),
+                         ids=list(fixtures.HOSTILE_JSON_REPLIES))
+def test_extract_triples_hostile_json_fails_after_repair_retry(tmp_path, reply):
+    gw = fixtures.RecordingGateway(_extraction_gateway(tmp_path, [
+        fixtures.gen_entry("Extract factual knowledge triples", reply,
+                           fixtures.one_token(reply), regex=True),
+    ]))
+    seg = segment("Some text.", 256)[0]
+    with pytest.raises(ExtractionParseError):
+        extract_triples(seg, gw, CFG)
+    assert [REPAIR_NOTE in req.prompt for req in gw.requests] == [False, True]
 
 
 def test_extract_triples_repair_retry_succeeds(tmp_path):

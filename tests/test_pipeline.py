@@ -30,6 +30,7 @@ from kgconflict import config
 from kgconflict.config import MODE_TABLE, MODEL_TAU_DEFAULTS, MODES
 from kgconflict.jsonio import decode
 from kgconflict.pipeline import build_gateway
+from kgconflict.prompts import REPAIR_NOTE
 from kgconflict.retrieval import ReasoningPath
 
 
@@ -140,6 +141,52 @@ def test_requests_leave_the_model_to_the_gateway(replay_config, replay_gateway, 
     answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg, gateway)
     assert gateway.requests
     assert [req.model_id for req in gateway.requests] == [None] * len(gateway.requests)
+
+
+def _stage(prompt: str) -> str:
+    if REPAIR_NOTE in prompt:
+        return "repair"
+    for marker, stage in (("Extract factual knowledge triples", "extract"),
+                          ("Identify the key elements", "key_elements"),
+                          ("Answer the question from your own knowledge", "parametric"),
+                          ("Use the reference information below", "probe")):
+        if marker in prompt:
+            return stage
+    raise AssertionError(f"unknown prompt: {prompt[:60]!r}")
+
+
+@pytest.mark.parametrize("mode, stages", [
+    ("full", {"extract": 0.0, "repair": 0.0, "key_elements": 0.0,
+              "parametric": 0.7, "probe": 0.7, "final": 0.7}),
+    ("no_kg", {"parametric": 0.7, "probe": 0.7, "final": 0.7}),
+    ("no_rag", {"parametric": 0.7}),
+])
+def test_each_stage_asks_with_its_request_settings(tmp_path, mode, stages):
+    """Structured calls go out at temperature 0 and answer calls at the
+    configured one; every call carries the configured token settings."""
+    triples = json.dumps(fixtures.REPLAY_TRIPLES)
+    script = fixtures.write_script(tmp_path / "s.jsonl", [
+        # The first extraction reply is not JSON, so the repair retry is sent.
+        fixtures.gen_entry("was not valid JSON", triples, fixtures.one_token(triples),
+                           regex=True),
+        fixtures.gen_entry("Extract factual knowledge triples", "oops",
+                           fixtures.one_token("oops"), regex=True),
+        *fixtures.replay_script_entries(),
+    ])
+    gateway = fixtures.RecordingGateway(load_mock_script(script))
+    cfg = PipelineConfig(mode=mode, temperature=0.7, max_tokens=77, logprob_top_k=7)
+    _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg,
+                            gateway)
+    sent = {}
+    for req in gateway.requests:
+        sent.setdefault(_stage(req.prompt), set()).add(req.temperature)
+    if mode != "no_rag":  # above temperature 0 the final answer is its own last call
+        augmented = [req for req in gateway.requests if _stage(req.prompt) == "probe"]
+        assert len(augmented) == len(trace.report.per_path) + 1
+        sent["final"] = {gateway.requests[-1].temperature}
+    assert sent == {stage: {temperature} for stage, temperature in stages.items()}
+    assert {(req.max_tokens, req.logprob_top_k, req.model_id)
+            for req in gateway.requests} == {(77, 7, None)}
 
 
 @pytest.mark.parametrize("settings, chat, embed", [

@@ -79,6 +79,17 @@ def test_key_elements_parse_error_falls_back(tmp_path):
     assert key.target_entities == ("who owns X?",)
 
 
+@pytest.mark.parametrize("reply", list(fixtures.HOSTILE_JSON_REPLIES.values()),
+                         ids=list(fixtures.HOSTILE_JSON_REPLIES))
+def test_key_elements_hostile_json_falls_back(tmp_path, reply):
+    gw = _gw(tmp_path, [
+        fixtures.gen_entry("Identify the key elements", reply,
+                           fixtures.one_token(reply), regex=True),
+    ])
+    key = extract_key_elements("who owns X?", gw, CFG)
+    assert key.target_entities == ("who owns X?",)
+
+
 def test_key_elements_empty_query_rejected(tmp_path):
     gw = _gw(tmp_path, [])
     with pytest.raises(EmptyInput):
