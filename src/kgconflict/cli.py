@@ -199,8 +199,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     gateway = _gateway_or_exit(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not cfg.trace:  # an earlier run's trace would not match these results
-        (out_dir / "trace.jsonl").unlink(missing_ok=True)
+    # A failed run must leave none of an earlier run's outputs beside its own.
+    for name in ("results.csv", "summary.json", "timings.json", "trace.jsonl"):
+        (out_dir / name).unlink(missing_ok=True)
     with _open_trace(out_dir, "w") if cfg.trace else nullcontext() as trace_file:
         trace_sink = partial(_write_trace, trace_file) if trace_file else None
         result = run_eval(records, cfg, gateway, trace_sink=trace_sink)

@@ -11,7 +11,7 @@ a comment line, values may be quoted. Every key has a CLI flag twin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -46,24 +46,6 @@ FALLBACKS = (FALLBACK_TOP_DELTA, FALLBACK_RAW_CONTEXT)  # the configurable ones
 
 
 @dataclass(frozen=True)
-class RetrievalConfig:
-    alpha: float = 0.5
-    beta: float = 0.5
-    k_similar: int = 10
-    paths_k: int = 10
-
-    def __post_init__(self) -> None:
-        require_field_types(self, "retrieval.")
-        require(0 <= self.alpha < math.inf, "retrieval.alpha", "finite and >= 0",
-                self.alpha)
-        require(0 <= self.beta < math.inf, "retrieval.beta", "finite and >= 0", self.beta)
-        if self.alpha + self.beta <= 0:
-            raise ValidationError("retrieval.alpha+beta: must be > 0")
-        require(self.k_similar >= 1, "retrieval.k_similar", ">= 1", self.k_similar)
-        require(self.paths_k >= 1, "retrieval.paths_k", ">= 1", self.paths_k)
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     # Backends: either a mock script or an OpenAI-compatible endpoint.
     mock_script: str = ""
@@ -80,13 +62,16 @@ class PipelineConfig:
     logprob_top_k: int = 10
     # Graph construction.
     max_segment_tokens: int = 256
-    # Retrieval.
-    retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     # Orchestration.
     mode: str = "full"
     parallelism: int = 1
     trace: bool = False
     skip_errors: bool = False
+    # Retrieval, last so that the CLI lists its flags last.
+    alpha: float = 0.5
+    beta: float = 0.5
+    k_similar: int = 10
+    paths_k: int = 10
 
     def __post_init__(self) -> None:
         require_field_types(self)
@@ -104,6 +89,12 @@ class PipelineConfig:
         require(self.max_segment_tokens >= 1, "max_segment_tokens", ">= 1",
                 self.max_segment_tokens)
         require(self.parallelism >= 1, "parallelism", ">= 1", self.parallelism)
+        require(0 <= self.alpha < math.inf, "alpha", "finite and >= 0", self.alpha)
+        require(0 <= self.beta < math.inf, "beta", "finite and >= 0", self.beta)
+        if self.alpha + self.beta <= 0:
+            raise ValidationError("alpha+beta: must be > 0")
+        require(self.k_similar >= 1, "k_similar", ">= 1", self.k_similar)
+        require(self.paths_k >= 1, "paths_k", ">= 1", self.paths_k)
 
     @property
     def effective_tau(self) -> float:
@@ -117,15 +108,12 @@ class PipelineConfig:
         return DEFAULT_TAU
 
 
-# Each flat key's type, from the config fields with retrieval's inlined;
-# ``float | None`` (tau) is a float key. The CLI makes one flag per key.
+# Each key's type, from the config's fields; ``float | None`` (tau) is a
+# float key. The CLI makes one flag per key.
 KEY_TYPES = {
     key: (get_args(hint) or (hint,))[0]
-    for cls in (PipelineConfig, RetrievalConfig)
-    for key, hint in get_type_hints(cls).items()
-    if key != "retrieval"
+    for key, hint in get_type_hints(PipelineConfig).items()
 }
-_RETRIEVAL_KEYS = {f.name for f in fields(RetrievalConfig)}
 ALL_KEYS = set(KEY_TYPES)
 
 
@@ -176,7 +164,7 @@ def parse_config(
 
     Override values win over file values; both win over defaults. The config
     checks each value's type and bounds. Raises ValidationError with a
-    field-path message on any bad key, type or bound.
+    message that names the key on any bad key, type or bound.
     """
     values = _read_config_file(path) if path is not None else {}
     for key, value in (overrides or {}).items():
@@ -185,5 +173,4 @@ def parse_config(
         if key not in ALL_KEYS:
             raise ValidationError(f"override: unknown key {key!r}")
         values[key] = value
-    retrieval = {key: values.pop(key) for key in _RETRIEVAL_KEYS & values.keys()}
-    return PipelineConfig(retrieval=RetrievalConfig(**retrieval), **values)
+    return PipelineConfig(**values)

@@ -79,7 +79,7 @@ def require(ok: bool, where: str, rule: str, value: object) -> None:
         raise ValidationError(f"{where}: must be {rule}, got {value}")
 
 
-def require_field_types(obj: object, prefix: str = "") -> None:
+def require_field_types(obj: object) -> None:
     """Check each field of a frozen dataclass against its declared type.
 
     The type must match exactly, so a bool is no int or number; ``X | None``
@@ -91,5 +91,4 @@ def require_field_types(obj: object, prefix: str = "") -> None:
         value, kinds = getattr(obj, f.name), get_args(hints[f.name]) or (hints[f.name],)
         if kinds[0] is float and type(value) is int and abs(value) <= sys.float_info.max:
             object.__setattr__(obj, f.name, value := float(value))
-        require(type(value) in kinds, prefix + f.name,
-                TYPE_NAMES.get(kinds[0], f"a {kinds[0].__name__}"), repr(value))
+        require(type(value) in kinds, f.name, TYPE_NAMES[kinds[0]], repr(value))

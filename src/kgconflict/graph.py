@@ -200,7 +200,7 @@ def _split_long_sentence(
     return chunks
 
 
-def segment(content: str, max_segment_tokens: int = 256) -> list[Segment]:
+def segment(content: str, max_segment_tokens: int) -> list[Segment]:
     """Split content into ordered, non-overlapping, covering segments.
 
     Boundaries fall only at sentence ends: sentences pack greedily into a

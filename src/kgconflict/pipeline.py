@@ -144,14 +144,14 @@ def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
         return []
     if trace.key_elements is None:
         trace.key_elements = extract_key_elements(question, gateway, cfg)
-    important = top_k_important(graph, trace.key_elements, cfg.retrieval, gateway)
+    important = top_k_important(graph, trace.key_elements, cfg, gateway)
     trace.important_entities = list(important.entities)
     trace.important_relations = list(important.relations)
     p_init = enumerate_paths(graph, important)
     trace.p_init_count = len(p_init)
     for path in p_init:
-        path.score = score_path(path, important, cfg.retrieval)
-    p_super = select_super_paths(p_init, cfg.retrieval)
+        path.score = score_path(path, important, cfg)
+    p_super = select_super_paths(p_init, cfg)
     for path in p_super:
         contextualize(path, graph, important)
     trace.p_super = p_super

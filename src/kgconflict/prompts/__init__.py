@@ -1,11 +1,12 @@
 """Prompt templates shipped as package data.
 
-Templates use ``{name}`` placeholders that are substituted by plain string
-replacement (not str.format), so braces inside user content are inert.
+Templates use ``{name}`` placeholders, substituted in one pass over the
+template (not str.format), so braces inside user content are inert.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from importlib import resources
 
@@ -27,7 +28,5 @@ def load_template(name: str) -> str:
 
 
 def render(name: str, **slots: str) -> str:
-    text = load_template(name)
-    for key, value in slots.items():
-        text = text.replace("{" + key + "}", value)
-    return text
+    """The template with each ``{slot}`` filled; a placeholder with no slot stays."""
+    return re.sub(r"\{(\w+)\}", lambda m: slots.get(m[1], m[0]), load_template(name))

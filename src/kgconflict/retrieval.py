@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, RetrievalConfig
+from .config import PipelineConfig
 from .errors import DanglingReference, EmptyInput, SchemaVersionMismatch, ValidationError
 from .gateway import ModelGateway, ask
 from .graph import KnowledgeGraph, _strip_code_fences
@@ -57,7 +57,6 @@ class ImportantSets:
 
     entities: tuple[tuple[str, float], ...]
     relations: tuple[tuple[str, float], ...]
-    k: int
 
     def __post_init__(self) -> None:
         # Built once: score_path asks for both sets once per enumerated path.
@@ -223,7 +222,7 @@ def _rank(
 def top_k_important(
     graph: KnowledgeGraph,
     key: QueryKeyElements,
-    cfg: RetrievalConfig,
+    cfg: PipelineConfig,
     gateway: ModelGateway,
 ) -> ImportantSets:
     """Rank entities and relations by similarity to the key elements.
@@ -235,7 +234,7 @@ def top_k_important(
     entity_named = [(e.id, e.name) for e in graph.entities.values()]
     relation_named = [(r.id, r.name) for r in graph.relations.values()]
     if not (entity_named or relation_named):
-        return ImportantSets(entities=(), relations=(), k=cfg.k_similar)
+        return ImportantSets(entities=(), relations=())
     keys = key.key_strings()
     texts = [text for _, text in entity_named + relation_named] + keys
     vectors = _embed_distinct(texts, gateway)
@@ -243,7 +242,6 @@ def top_k_important(
     return ImportantSets(
         entities=_rank(entity_named, key_vectors, vectors, cfg.k_similar),
         relations=_rank(relation_named, key_vectors, vectors, cfg.k_similar),
-        k=cfg.k_similar,
     )
 
 
@@ -285,7 +283,7 @@ def enumerate_paths(
 
 
 def score_path(
-    path: ReasoningPath, important: ImportantSets, cfg: RetrievalConfig
+    path: ReasoningPath, important: ImportantSets, cfg: PipelineConfig
 ) -> float:
     """Coverage score: alpha * entity coverage + beta * relation coverage.
 
@@ -317,7 +315,7 @@ def _selection_key(path: ReasoningPath) -> tuple:
 
 
 def select_super_paths(
-    paths: list[ReasoningPath], cfg: RetrievalConfig
+    paths: list[ReasoningPath], cfg: PipelineConfig
 ) -> list[ReasoningPath]:
     """Top paths by score.
 

@@ -340,11 +340,10 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 30,
 
 
 def important_from_ids(entity_ids: list[str],
-                       relation_ids: list[str] = (), k: int = 10) -> ImportantSets:
+                       relation_ids: list[str] = ()) -> ImportantSets:
     return ImportantSets(
         entities=tuple((eid, 1.0) for eid in entity_ids),
         relations=tuple((rid, 1.0) for rid in relation_ids),
-        k=k,
     )
 
 

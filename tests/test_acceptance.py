@@ -20,7 +20,6 @@ from kgconflict import (
     ImportantSets,
     PipelineConfig,
     ReasoningPath,
-    RetrievalConfig,
     answer_query,
     build_graph,
     cpr,
@@ -137,10 +136,10 @@ def test_scoring_properties():
     for _ in range(300):
         ents = tuple((f"e{i:02d}", 1.0) for i in range(int(rng.integers(0, 8))))
         rels = tuple((f"r{i}", 1.0) for i in range(int(rng.integers(0, 6))))
-        important = ImportantSets(entities=ents, relations=rels, k=10)
+        important = ImportantSets(entities=ents, relations=rels)
         alpha = float(rng.random() * 3)
         beta = float(rng.random() * 3) + 1e-3
-        cfg = RetrievalConfig(alpha=alpha, beta=beta)
+        cfg = PipelineConfig(alpha=alpha, beta=beta)
         score = score_path(_random_path(rng), important, cfg)
         bounds_ok &= 0.0 <= score <= alpha + beta + 1e-12
     _report("scoring bounds 0 <= Ref <= alpha+beta", bounds_ok)
@@ -149,7 +148,6 @@ def test_scoring_properties():
     important = ImportantSets(
         entities=(("a", 1.0), ("b", 1.0), ("c", 1.0)),
         relations=(("r0", 1.0), ("r1", 1.0)),
-        k=10,
     )
     full_path = ReasoningPath(
         nodes=("a", "b", "c"),
@@ -158,7 +156,7 @@ def test_scoring_properties():
             PathEdge(relation="r1", triple_index=1, direction="forward"),
         ),
     )
-    cfg = RetrievalConfig(alpha=0.7, beta=0.3)
+    cfg = PipelineConfig(alpha=0.7, beta=0.3)
     exact = score_path(full_path, important, cfg)
     _report("full-coverage path scores exactly alpha+beta",
             exact == cfg.alpha + cfg.beta, f"score={exact}")
@@ -168,14 +166,13 @@ def test_scoring_properties():
     important = ImportantSets(
         entities=tuple((f"e{i:02d}", 1.0) for i in range(6)),
         relations=tuple((f"r{i}", 1.0) for i in range(5)),
-        k=10,
     )
     paths = [_random_path(rng) for _ in range(60)]
     invariant = True
     for scale in (0.5, 2.0, 8.0):
         orders = []
         for factor in (1.0, scale):
-            cfg = RetrievalConfig(alpha=0.5 * factor, beta=0.5 * factor)
+            cfg = PipelineConfig(alpha=0.5 * factor, beta=0.5 * factor)
             for p in paths:
                 p.score = score_path(p, important, cfg)
             orders.append([p.key() for p in select_super_paths(paths, cfg)])
@@ -192,7 +189,7 @@ def test_scoring_properties():
             p.score = float(rng.choice([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]))
             batch.append(p)
         k = int(rng.integers(1, 12))
-        cfg = RetrievalConfig(paths_k=k)
+        cfg = PipelineConfig(paths_k=k)
         oracle = sorted(
             batch,
             key=lambda p: (

@@ -333,6 +333,34 @@ def test_eval_without_trace_removes_an_earlier_trace(replay_cli_files):
     assert not (out_dir / "trace.jsonl").exists()
 
 
+def test_failed_eval_leaves_no_earlier_results(replay_cli_files):
+    """A run that stops on a script miss keeps only its own partial trace."""
+    tmp = replay_cli_files["tmp"]
+    out_dir = tmp / "eval-failed"
+    record = fixtures.replay_dataset_record()
+    unscripted = {**record, "id": "unscripted", "context": "Nothing here is scripted.",
+                  "gold_spans": [[0, 7]]}
+
+    def _eval(script, records):
+        dataset = tmp / f"{records[-1]['id']}.jsonl"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in records),
+                           encoding="utf-8")
+        return main(["eval", "--mock-script", str(script), "--dataset", str(dataset),
+                     "--trace", "--out", str(out_dir)])
+
+    assert _eval(replay_cli_files["script"], [record, {**record, "id": "again"}]) == 0
+    rows = (out_dir / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 2
+    # Extraction answers only for the replay context, so the second record misses.
+    entries = fixtures.replay_script_entries()
+    entries[0] = {**entries[0], "match": entries[0]["match"] + r"[\s\S]*Municipality"}
+    strict = fixtures.write_script(tmp / "strict.jsonl", entries)
+    assert _eval(strict, [record, unscripted]) == 2
+    assert [p.name for p in out_dir.iterdir()] == ["trace.jsonl"]
+    lines = (out_dir / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1
+
+
 def _build_replay_graph(files, graph_out, *extra):
     return main([
         "build-graph",

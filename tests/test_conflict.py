@@ -29,6 +29,7 @@ from kgconflict import (
 )
 from kgconflict import conflict
 from kgconflict.conflict import CONTEXT_DELIMITER, plain_answer
+from kgconflict.prompts import ANSWER_AUGMENTED, load_template, render
 
 def _tokens(position_logprobs: list[list[float]]) -> TokenLogprobs:
     positions = []
@@ -467,3 +468,11 @@ def test_entropy_report_round_trips_via_dict(tmp_path):
     for entry in report.per_path:
         assert entry.delta_h == entry.h_aug - report.h_param
         assert entry.corrective == (entry.delta_h > report.tau)
+
+
+def test_render_leaves_placeholders_inside_filled_slots_alone():
+    prompt = render(ANSWER_AUGMENTED, context="see {question} and {x} here",
+                    question="Q?")
+    assert "References:\nsee {question} and {x} here\n" in prompt
+    assert prompt.endswith("Question: Q?\nAnswer:\n")
+    assert render(ANSWER_AUGMENTED) == load_template(ANSWER_AUGMENTED)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import math
 import threading
@@ -17,7 +18,6 @@ import fixtures
 from kgconflict import (
     FallbackExhausted,
     PipelineConfig,
-    RetrievalConfig,
     ScriptMiss,
     ValidationError,
     answer_query,
@@ -416,10 +416,10 @@ def test_key_elements_error_is_dropped_with_an_empty_graph(tmp_path):
 def test_defaults_match_documented_values():
     cfg = PipelineConfig()
     assert cfg.effective_tau == 1.0
-    assert cfg.retrieval.k_similar == 10
-    assert cfg.retrieval.paths_k == 10
-    assert cfg.retrieval.alpha == 0.5
-    assert cfg.retrieval.beta == 0.5
+    assert cfg.k_similar == 10
+    assert cfg.paths_k == 10
+    assert cfg.alpha == 0.5
+    assert cfg.beta == 0.5
     assert cfg.temperature == 0.0
     assert cfg.logprob_top_k == 10
 
@@ -438,9 +438,9 @@ def test_parse_config_file_and_overrides(tmp_path):
     cfg = parse_config(path, {"tau": 3.0, "paths_k": 7})
     assert cfg.mock_script == "script.jsonl"
     assert cfg.mode == "no_conflict"
-    assert cfg.retrieval.alpha == 0.25
-    assert cfg.retrieval.k_similar == 5
-    assert cfg.retrieval.paths_k == 7
+    assert cfg.alpha == 0.25
+    assert cfg.k_similar == 5
+    assert cfg.paths_k == 7
     assert cfg.trace is True
     assert cfg.effective_tau == 3.0
 
@@ -501,8 +501,8 @@ def test_tau_model_override_table():
 
 
 def test_validation_error_messages_carry_field_path():
-    with pytest.raises(ValidationError, match="retrieval.k_similar"):
-        PipelineConfig(retrieval=RetrievalConfig(k_similar=0))
+    with pytest.raises(ValidationError, match="^k_similar: must be >= 1, got 0$"):
+        PipelineConfig(k_similar=0)
     with pytest.raises(ValidationError, match="parallelism"):
         PipelineConfig(parallelism=0)
 
@@ -510,8 +510,8 @@ def test_validation_error_messages_carry_field_path():
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: PipelineConfig(tau=math.nan),
                  "tau: must be finite, got nan", id="resolution"),
-    pytest.param(lambda: RetrievalConfig(paths_k=0),
-                 "retrieval.paths_k: must be >= 1, got 0", id="retrieval"),
+    pytest.param(lambda: PipelineConfig(paths_k=0),
+                 "paths_k: must be >= 1, got 0", id="retrieval"),
     pytest.param(lambda: PipelineConfig(max_segment_tokens=0),
                  "max_segment_tokens: must be >= 1, got 0", id="pipeline"),
     pytest.param(lambda: PipelineConfig(temperature=-1.0),
@@ -541,11 +541,18 @@ def test_parse_config_override_must_have_its_key_type(key, value, expects):
 @pytest.mark.parametrize("key, value", [
     ("tau", math.nan), ("fallback", "nope"), ("temperature", -1.0),
     ("max_tokens", 0), ("logprob_top_k", 0),
+    ("alpha", -1.0), ("beta", math.inf), ("k_similar", 0), ("paths_k", 0),
 ])
 def test_conflict_stage_errors_name_the_key_the_user_wrote(key, value):
+    """Every stage's keys, retrieval's too, keep the name a config file uses."""
     with pytest.raises(ValidationError) as err:
         parse_config(None, {key: value})
     assert str(err.value).startswith(f"{key}:")
+
+
+def test_zero_coverage_weights_error_names_both_keys():
+    with pytest.raises(ValidationError, match=r"^alpha\+beta: must be > 0$"):
+        parse_config(None, {"alpha": 0.0, "beta": 0.0})
 
 
 def test_config_imports_nothing_of_the_package_but_errors():
@@ -573,16 +580,13 @@ def test_parse_config_override_takes_an_int_for_a_float_key():
                  "parallelism: must be an integer, got '2'", id="str-for-int"),
     pytest.param(lambda: PipelineConfig(max_tokens=2.5),
                  "max_tokens: must be an integer, got 2.5", id="float-for-int"),
-    pytest.param(lambda: RetrievalConfig(k_similar=True),
-                 "retrieval.k_similar: must be an integer, got True", id="bool-for-int"),
-    pytest.param(lambda: RetrievalConfig(alpha=False),
-                 "retrieval.alpha: must be a number, got False", id="bool-for-float"),
+    pytest.param(lambda: PipelineConfig(k_similar=True),
+                 "k_similar: must be an integer, got True", id="bool-for-int"),
+    pytest.param(lambda: PipelineConfig(alpha=False),
+                 "alpha: must be a number, got False", id="bool-for-float"),
     pytest.param(lambda: PipelineConfig(tau=10**400),
                  f"tau: must be a number, got {10**400}",
                  id="int-too-large-for-a-float"),
-    pytest.param(lambda: PipelineConfig(retrieval={"k_similar": 3}),
-                 "retrieval: must be a RetrievalConfig, got {'k_similar': 3}",
-                 id="dict-for-dataclass"),
 ])
 def test_config_field_types_are_checked_when_built(build, message):
     with pytest.raises(ValidationError) as err:
@@ -591,7 +595,20 @@ def test_config_field_types_are_checked_when_built(build, message):
 
 
 def test_config_stores_an_int_for_a_float_field_as_a_float():
-    cfg = PipelineConfig(tau=2, temperature=1, retrieval=RetrievalConfig(alpha=1))
+    cfg = PipelineConfig(tau=2, temperature=1, alpha=1)
     assert cfg.tau == 2.0 and type(cfg.tau) is float
-    assert type(cfg.temperature) is float and type(cfg.retrieval.alpha) is float
+    assert type(cfg.temperature) is float and type(cfg.alpha) is float
     assert PipelineConfig(tau=None).tau is None
+
+
+def test_package_exports_exactly_its_public_names():
+    import kgconflict
+
+    public = {
+        name for name, value in vars(kgconflict).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(kgconflict.__all__) == public
+    namespace: dict = {}
+    exec("from kgconflict import *", namespace)
+    assert set(kgconflict.__all__) <= namespace.keys()

@@ -18,7 +18,6 @@ from kgconflict import (
     PipelineConfig,
     QueryKeyElements,
     ReasoningPath,
-    RetrievalConfig,
     ValidationError,
     build_graph,
     contextualize,
@@ -109,7 +108,7 @@ def _entity_scores(gw, head: str, key_entities: tuple[str, ...]) -> dict[str, fl
     """top_k_important's score for each entity of a one-triple graph."""
     graph = build_graph([fixtures.make_extraction(head, "rel", "other")])
     key = QueryKeyElements(target_entities=key_entities)
-    return dict(top_k_important(graph, key, RetrievalConfig(), gw).entities)
+    return dict(top_k_important(graph, key, PipelineConfig(), gw).entities)
 
 
 # The other graph names ("rel", "other") need a vector of the same width.
@@ -207,7 +206,7 @@ def test_top_k_embeds_distinct_texts_in_one_call(tmp_path):
     # Key strings repeat an entity name and a relation name.
     key = QueryKeyElements(target_entities=("alpha", "delta"),
                            target_relations=("rel two",), intent="alpha")
-    top_k_important(_tiny_graph(), key, RetrievalConfig(), gw)
+    top_k_important(_tiny_graph(), key, PipelineConfig(), gw)
     assert calls == [["alpha", "beta", "gamma", "rel one", "rel two", "delta"]]
 
 
@@ -215,7 +214,7 @@ def test_top_k_returns_all_when_k_exceeds_population(tmp_path):
     gw = _gw(tmp_path, [])
     graph = _tiny_graph()
     key = QueryKeyElements(target_entities=("alpha",))
-    important = top_k_important(graph, key, RetrievalConfig(k_similar=10), gw)
+    important = top_k_important(graph, key, PipelineConfig(k_similar=10), gw)
     assert len(important.entities) == 3
     assert len(important.relations) == 2
     assert all(-1.0 <= score <= 1.0 for _, score in important.entities)
@@ -230,7 +229,7 @@ def test_top_k_tie_breaks_lexicographically(tmp_path):
     ])
     graph = _tiny_graph()
     key = QueryKeyElements(target_entities=("anything",))
-    important = top_k_important(graph, key, RetrievalConfig(k_similar=2), gw)
+    important = top_k_important(graph, key, PipelineConfig(k_similar=2), gw)
     assert [eid for eid, _ in important.entities] == ["alpha", "beta"]
     assert [score for _, score in important.entities] == [1.0, 1.0]
 
@@ -238,7 +237,7 @@ def test_top_k_tie_breaks_lexicographically(tmp_path):
 def test_top_k_replay_contains_query_entity(replay_gateway):
     graph = build_graph(fixtures.replay_extractions())
     key = extract_key_elements(fixtures.REPLAY_QUESTION, replay_gateway, CFG)
-    important = top_k_important(graph, key, RetrievalConfig(), replay_gateway)
+    important = top_k_important(graph, key, PipelineConfig(), replay_gateway)
     assert "ciudad deportiva" in important.entity_ids()
 
 
@@ -246,7 +245,7 @@ def test_top_k_empty_graph(tmp_path):
     gw = _gw(tmp_path, [])
     important = top_k_important(
         build_graph([]), QueryKeyElements(target_entities=("x",)),
-        RetrievalConfig(), gw,
+        PipelineConfig(), gw,
     )
     assert important.entities == ()
     assert important.relations == ()
@@ -349,19 +348,19 @@ def _path(nodes, relations, score=0.0):
 
 def test_score_full_coverage_is_alpha_plus_beta():
     important = ImportantSets(
-        entities=(("a", 1.0), ("b", 1.0)), relations=(("r", 1.0),), k=10
+        entities=(("a", 1.0), ("b", 1.0)), relations=(("r", 1.0),)
     )
-    cfg = RetrievalConfig(alpha=0.5, beta=0.5)
+    cfg = PipelineConfig(alpha=0.5, beta=0.5)
     path = _path(["a", "b"], ["r"])
     assert score_path(path, important, cfg) == pytest.approx(1.0)
 
 
 def test_score_disjoint_path_is_zero():
     important = ImportantSets(
-        entities=(("x", 1.0),), relations=(("q", 1.0),), k=10
+        entities=(("x", 1.0),), relations=(("q", 1.0),)
     )
     path = _path(["a", "b"], ["r"])
-    assert score_path(path, important, RetrievalConfig()) == 0.0
+    assert score_path(path, important, PipelineConfig()) == 0.0
 
 
 def test_score_hand_computed_instance():
@@ -369,9 +368,8 @@ def test_score_hand_computed_instance():
     important = ImportantSets(
         entities=(("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)),
         relations=(("r", 1.0), ("q", 1.0)),
-        k=10,
     )
-    cfg = RetrievalConfig(alpha=0.5, beta=0.5)
+    cfg = PipelineConfig(alpha=0.5, beta=0.5)
     path = _path(["a", "b", "z"], ["r", "r"])
     entity_cover = len({"a", "b", "z"} & {"a", "b", "c", "d"})
     relation_cover = len({"r"} & {"r", "q"})
@@ -381,9 +379,9 @@ def test_score_hand_computed_instance():
 
 
 def test_score_empty_important_set_contributes_zero():
-    important = ImportantSets(entities=(("a", 1.0),), relations=(), k=10)
+    important = ImportantSets(entities=(("a", 1.0),), relations=())
     path = _path(["a", "b"], ["r"])
-    assert score_path(path, important, RetrievalConfig(alpha=1.0, beta=1.0)) == 1.0
+    assert score_path(path, important, PipelineConfig(alpha=1.0, beta=1.0)) == 1.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -399,10 +397,10 @@ def test_score_bounds_property(n_imp_e, n_imp_r, covered_e, covered_r, alpha, be
     if alpha + beta <= 0:
         alpha = 0.5
         beta = 0.5
-    cfg = RetrievalConfig(alpha=alpha, beta=beta)
+    cfg = PipelineConfig(alpha=alpha, beta=beta)
     ents = tuple((f"e{i}", 1.0) for i in range(n_imp_e))
     rels = tuple((f"r{i}", 1.0) for i in range(n_imp_r))
-    important = ImportantSets(entities=ents, relations=rels, k=10)
+    important = ImportantSets(entities=ents, relations=rels)
     nodes = [f"e{i}" for i in range(min(covered_e, n_imp_e))]
     nodes += [f"z{i}" for i in range(3 - len(nodes))]
     relations = [f"r{i}" for i in range(min(covered_r, n_imp_r))] or ["zz"]
@@ -417,7 +415,6 @@ def test_ranking_invariant_under_dyadic_scaling():
     important = ImportantSets(
         entities=tuple((f"e{i}", 1.0) for i in range(5)),
         relations=tuple((f"r{i}", 1.0) for i in range(4)),
-        k=10,
     )
     paths = []
     for i in range(40):
@@ -428,8 +425,8 @@ def test_ranking_invariant_under_dyadic_scaling():
         rels = [f"r{rng.integers(0, 7)}" for _ in range(n - 1)]
         paths.append(_path(nodes, rels))
     for scale in (0.5, 2.0, 8.0):
-        base_cfg = RetrievalConfig(alpha=0.5, beta=0.5)
-        scaled_cfg = RetrievalConfig(alpha=0.5 * scale, beta=0.5 * scale)
+        base_cfg = PipelineConfig(alpha=0.5, beta=0.5)
+        scaled_cfg = PipelineConfig(alpha=0.5 * scale, beta=0.5 * scale)
         for cfg in (base_cfg, scaled_cfg):
             for p in paths:
                 p.score = score_path(p, important, cfg)
@@ -444,7 +441,7 @@ def test_select_returns_all_when_k_exceeds_count():
     paths = [_path(["a", "b"], ["r"], score=0.2),
              _path(["c", "d"], ["r"], score=0.9),
              _path(["e", "f"], ["r"], score=0.5)]
-    cfg = RetrievalConfig(paths_k=10)
+    cfg = PipelineConfig(paths_k=10)
     selected = select_super_paths(paths, cfg)
     assert [p.score for p in selected] == [0.9, 0.5, 0.2]
 
@@ -454,7 +451,7 @@ def test_select_tie_breaks_shorter_then_lexicographic():
     short_zz = _path(["z", "z2"], ["r"], score=0.5)
     short_aa = _path(["a", "b"], ["r"], score=0.5)
     selected = select_super_paths([long_path, short_zz, short_aa],
-                                  RetrievalConfig(paths_k=3))
+                                  PipelineConfig(paths_k=3))
     assert [p.nodes for p in selected] == [
         ("a", "b"), ("z", "z2"), ("a", "b", "c")
     ]
@@ -473,7 +470,7 @@ def test_select_matches_sort_oracle_on_random_scores():
             score = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
             paths.append(_path(nodes, rels, score=score))
         k = int(rng.integers(1, 12))
-        cfg = RetrievalConfig(paths_k=k)
+        cfg = PipelineConfig(paths_k=k)
         expected = sorted(
             paths,
             key=lambda p: (
@@ -562,7 +559,7 @@ def test_contextualize_intersects_with_important_sets():
             PathEdge(relation="q", triple_index=1, direction="forward"),
         ),
     )
-    important = ImportantSets(entities=(("b", 1.0),), relations=(("q", 1.0),), k=10)
+    important = ImportantSets(entities=(("b", 1.0),), relations=(("q", 1.0),))
     rendered = contextualize(path, graph, important)
     lines = rendered.splitlines()
     entities_idx = lines.index("Entities:")
@@ -594,7 +591,7 @@ def test_top_k_caps_relations_at_k(tmp_path):
         fixtures.make_extraction("a", f"rel{i}", "b") for i in range(6)
     ])
     key = QueryKeyElements(target_entities=("a",))
-    important = top_k_important(graph, key, RetrievalConfig(k_similar=3), gw)
+    important = top_k_important(graph, key, PipelineConfig(k_similar=3), gw)
     assert len(important.relations) == 3
     assert len(important.entities) == 2
 
@@ -612,7 +609,7 @@ def test_contextualize_dangling_reference():
 def test_super_paths_start_at_important_entities(replay_gateway):
     graph = build_graph(fixtures.replay_extractions())
     key = extract_key_elements(fixtures.REPLAY_QUESTION, replay_gateway, CFG)
-    cfg = RetrievalConfig()
+    cfg = PipelineConfig()
     important = top_k_important(graph, key, cfg, replay_gateway)
     paths = enumerate_paths(graph, important)
     for p in paths:
