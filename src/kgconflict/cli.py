@@ -8,6 +8,7 @@ from the MODEL_API_KEY environment variable.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import sys
@@ -252,6 +253,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    for stream in (sys.stdout, sys.stderr):  # a lone surrogate prints as \ud800
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(errors="backslashreplace")
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = make_parser()
     try:

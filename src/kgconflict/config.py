@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .errors import TYPE_NAMES, ValidationError, require, require_field_types
+from .errors import TYPE_NAMES, ValidationError, require, require_type
 
 # Each pipeline mode: where its contexts come from, and whether the entropy
 # filter picks among them. Graph paths and raw chunks are candidates, with the
@@ -74,25 +74,26 @@ class PipelineConfig:
     paths_k: int = 10
 
     def __post_init__(self) -> None:
-        require_field_types(self)
+        for key, hint in _HINTS.items():
+            object.__setattr__(self, key, require_type(hint, getattr(self, key), key))
         if self.mode not in MODES:
             raise ValidationError(
                 f"mode: {self.mode!r} is not one of {', '.join(MODES)}"
             )
-        require(self.tau is None or math.isfinite(self.tau), "tau", "finite", self.tau)
         if self.fallback not in FALLBACKS:
             raise ValidationError(f"fallback: unknown value {self.fallback!r}")
-        require(0 <= self.temperature < math.inf, "temperature", "finite and >= 0",
-                self.temperature)
+        require(self.temperature >= 0, "temperature", ">= 0", self.temperature)
         require(self.max_tokens >= 1, "max_tokens", ">= 1", self.max_tokens)
         require(self.logprob_top_k >= 1, "logprob_top_k", ">= 1", self.logprob_top_k)
         require(self.max_segment_tokens >= 1, "max_segment_tokens", ">= 1",
                 self.max_segment_tokens)
         require(self.parallelism >= 1, "parallelism", ">= 1", self.parallelism)
-        require(0 <= self.alpha < math.inf, "alpha", "finite and >= 0", self.alpha)
-        require(0 <= self.beta < math.inf, "beta", "finite and >= 0", self.beta)
-        if self.alpha + self.beta <= 0:
+        require(self.alpha >= 0, "alpha", ">= 0", self.alpha)
+        require(self.beta >= 0, "beta", ">= 0", self.beta)
+        total = self.alpha + self.beta  # a path's score is at most this
+        if total <= 0:
             raise ValidationError("alpha+beta: must be > 0")
+        require(math.isfinite(total), "alpha+beta", "finite", total)
         require(self.k_similar >= 1, "k_similar", ">= 1", self.k_similar)
         require(self.paths_k >= 1, "paths_k", ">= 1", self.paths_k)
 
@@ -108,12 +109,11 @@ class PipelineConfig:
         return DEFAULT_TAU
 
 
-# Each key's type, from the config's fields; ``float | None`` (tau) is a
-# float key. The CLI makes one flag per key.
-KEY_TYPES = {
-    key: (get_args(hint) or (hint,))[0]
-    for key, hint in get_type_hints(PipelineConfig).items()
-}
+# Each field's declared type, which ``__post_init__`` checks, and each key's
+# type for the file parser and the CLI's flags: ``float | None`` (tau) is a
+# float key.
+_HINTS = get_type_hints(PipelineConfig)
+KEY_TYPES = {key: (get_args(hint) or (hint,))[0] for key, hint in _HINTS.items()}
 ALL_KEYS = set(KEY_TYPES)
 
 

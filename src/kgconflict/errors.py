@@ -1,12 +1,11 @@
 """Shared exception types for the pipeline, and the field checks that raise them."""
 
-import sys
-from dataclasses import fields
-from functools import cache
-from typing import get_args, get_type_hints
+import math
+from types import UnionType
+from typing import get_args
 
-TYPE_NAMES = {bool: "a boolean", float: "a number", int: "an integer", str: "a string"}
-_type_hints = cache(get_type_hints)
+TYPE_NAMES = {bool: "a boolean", float: "a number", int: "an integer", str: "a string",
+              type(None): "null"}
 
 
 class PipelineError(Exception):
@@ -74,21 +73,28 @@ class SchemaVersionMismatch(PipelineError):
 
 
 def require(ok: bool, where: str, rule: str, value: object) -> None:
-    """Raise ``ValidationError("<where>: must be <rule>, got <value>")`` unless ok."""
-    if not ok:
-        raise ValidationError(f"{where}: must be {rule}, got {value}")
+    """Raise ``ValidationError("<where>: must be <rule>, got <value>")`` unless ok.
 
-
-def require_field_types(obj: object) -> None:
-    """Check each field of a frozen dataclass against its declared type.
-
-    The type must match exactly, so a bool is no int or number; ``X | None``
-    also takes None. An int in a float field is stored as a float, unless no
-    float can hold it.
+    The value is shown as its repr, cut at 40 characters.
     """
-    hints = _type_hints(type(obj))
-    for f in fields(obj):
-        value, kinds = getattr(obj, f.name), get_args(hints[f.name]) or (hints[f.name],)
-        if kinds[0] is float and type(value) is int and abs(value) <= sys.float_info.max:
-            object.__setattr__(obj, f.name, value := float(value))
-        require(type(value) in kinds, f.name, TYPE_NAMES[kinds[0]], repr(value))
+    if not ok:
+        raise ValidationError(f"{where}: must be {rule}, got {repr(value)[:40]}")
+
+
+def require_type(hint, value, where: str):
+    """``value`` checked against a scalar type or ``X | None``, else ValidationError.
+
+    The one type rule for every outside value: a config field, and each scalar
+    of a graph or paths file. The match is exact, so a bool is never an int or
+    a number. An int for a float comes back as a float, unless no float can
+    hold it; a float must be finite.
+    """
+    kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    if float in kinds and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValidationError(f"{where}: integer too large for a float") from None
+    require(type(value) in kinds, where, " or ".join(TYPE_NAMES[k] for k in kinds), value)
+    require(type(value) is not float or math.isfinite(value), where, "finite", value)
+    return value

@@ -293,8 +293,9 @@ def _cell(value: object) -> str:
 
 
 def write_results_csv(result: EvalResult, path: str | Path) -> None:
-    """Per-record rows (deterministic columns only; no wall-clock fields)."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    """Per-record rows (deterministic columns only; a lone surrogate as \\ud800)."""
+    with Path(path).open("w", encoding="utf-8", errors="backslashreplace",
+                         newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in result.rows:

@@ -217,7 +217,7 @@ class _ScriptIndex:
 
 def _hash_unit_vector(text: str, dim: int) -> np.ndarray:
     """Deterministic pseudo-random unit vector derived from the text bytes."""
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
     seed = int.from_bytes(digest[:8], "big")
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(dim)
@@ -317,7 +317,7 @@ def _parse_entry(obj: dict, line_no: int) -> _ScriptEntry:
     if regex:
         try:
             pattern = re.compile(match)
-        except re.error as exc:
+        except (re.error, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ParseError(f"script line {line_no}: bad regex: {exc}") from exc
     response = obj.get("response")
     if not isinstance(response, dict):

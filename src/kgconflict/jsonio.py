@@ -9,14 +9,12 @@ dataclasses that ``dataclasses.asdict`` wrote out.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from pathlib import Path
-from types import UnionType
-from typing import Iterator, Union, get_args, get_origin, get_type_hints
+from typing import Iterator, get_args, get_origin, get_type_hints
 
-from .errors import ParseError, ValidationError, require
+from .errors import ParseError, ValidationError, require, require_type
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -59,17 +57,8 @@ def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[int, object]]
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-_NAMES = {str: "a string", int: "an integer", float: "a number", type(None): "null"}
 _SEQUENCES = (list, tuple, frozenset)
 _type_hints = cache(get_type_hints)
-
-
-def _describe(hint) -> str:
-    if get_origin(hint) in (Union, UnionType):
-        return " or ".join(map(_describe, get_args(hint)))
-    if is_dataclass(hint):
-        return "an object"
-    return "a list" if get_origin(hint) in _SEQUENCES else _NAMES[hint]
 
 
 def decode(hint, value, where: str):
@@ -77,37 +66,17 @@ def decode(hint, value, where: str):
 
     A dataclass reads an object, and a field missing from it takes its default
     or is an error. ``list[X]``, ``tuple[X, ...]`` and ``frozenset[X]`` read a
-    list, or a tuple as ``dataclasses.asdict`` leaves it. ``X | None`` reads
-    null or an X, and a float reads any finite number as a float. A bool is
-    never a number.
+    list, or a tuple as ``dataclasses.asdict`` leaves it. A scalar or an
+    ``X | None`` of one is read by ``errors.require_type``, the config's rule.
     """
-    declared = hint
-    if get_origin(hint) in (Union, UnionType):  # only ``X | None`` occurs
-        if value is None:
-            return None
-        (hint,) = [option for option in get_args(hint) if option is not type(None)]
     origin = get_origin(hint)
-    if is_dataclass(hint):
-        accepted = isinstance(value, dict)
-    elif origin in _SEQUENCES:
-        accepted = isinstance(value, (list, tuple))
-    else:  # exact types: JSON gives no subclasses, and so a bool is no int
-        accepted = type(value) is hint or (hint is float and type(value) is int)
-    if not accepted:
-        raise ValidationError(
-            f"{where}: expected {_describe(declared)}, got {type(value).__name__}"
-        )
-    if hint is float:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ValidationError(f"{where}: integer too large for a float") from None
-        require(math.isfinite(value), where, "finite", value)
     if origin in _SEQUENCES:
+        require(isinstance(value, (list, tuple)), where, "a list", value)
         item = get_args(hint)[0]
         return origin(decode(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     if not is_dataclass(hint):
-        return value
+        return require_type(hint, value, where)
+    require(isinstance(value, dict), where, "an object", value)
     hints, kwargs = _type_hints(hint), {}
     for f in fields(hint):
         if f.name in value:

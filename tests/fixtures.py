@@ -69,6 +69,12 @@ def embed_entry(match: str, vector: list[float], regex: bool = False) -> dict:
             "response": {"vector": vector}}
 
 
+def readme_config_block() -> str:
+    """The example under README's "Config file" heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("### Config file", 1)[1].split("```\n", 2)[1]
+
+
 def write_script(path: Path, entries: list[dict]) -> Path:
     path.write_text(
         "".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8"
@@ -83,6 +89,12 @@ HOSTILE_JSON_REPLIES = {
     "deep-nesting": "[" * 100_000 + "]" * 100_000,
     "huge-integer": "[" + "1" * 5000 + "]",
 }
+
+
+# A regex that ``re.compile`` refuses with a RecursionError, not ``re.error``.
+# 500 groups already fail at the default recursion limit; Hypothesis lifts the
+# limit by 2,000 frames while a test runs, so this nests deeper than that.
+DEEP_REGEX = "(" * 5_000 + ")" * 5_000
 
 
 class RecordingGateway:

@@ -448,6 +448,55 @@ def test_answer_survives_hostile_json_replies(replay_cli_files, tmp_path, reply)
     assert run.stdout.strip() == reply
 
 
+def test_script_regex_nested_too_deeply_exits_two(replay_cli_files, tmp_path):
+    script = fixtures.write_script(tmp_path / "deep.jsonl", [
+        fixtures.gen_entry(fixtures.DEEP_REGEX, "a", fixtures.one_token("a"), regex=True),
+    ])
+    code, err = _run(["answer", "--mock-script", str(script),
+                      "--question", fixtures.REPLAY_QUESTION])
+    assert code == 2
+    _assert_one_error_line(err)
+    assert "bad regex" in err
+
+
+_SURROGATE = "\ud800"  # a lone surrogate: JSON can escape one, UTF-8 cannot hold it
+
+
+@pytest.mark.parametrize("command", ["answer", "eval"])
+def test_lone_surrogate_reply_is_written_backslash_escaped(replay_cli_files, tmp_path,
+                                                           capsys, command):
+    script = fixtures.write_script(tmp_path / "surrogate.jsonl", [
+        fixtures.gen_entry("", _SURROGATE, fixtures.one_token(_SURROGATE), regex=True),
+    ])
+    run = tmp_path / "run"
+    argv = ["--mock-script", str(script), "--mode", "no_rag"]
+    if command == "answer":
+        argv += ["--question", fixtures.REPLAY_QUESTION]
+    else:
+        argv += ["--dataset", replay_cli_files["dataset"], "--out", str(run)]
+    assert main([command, *argv]) == 0
+    out = capsys.readouterr().out
+    if command == "answer":
+        assert out == "\\ud800\n"
+    else:
+        assert "\\ud800" in (run / "results.csv").read_text(encoding="utf-8")
+        assert (run / "summary.json").exists()
+
+
+def test_lone_surrogate_key_element_is_embedded(replay_cli_files, tmp_path, capsys):
+    """The mock embedder hashes the text's code points, surrogates included."""
+    key_elements = {**fixtures.REPLAY_KEY_ELEMENTS,
+                    "target_relations": [f"{_SURROGATE} owner", "located in"]}
+    entries = fixtures.replay_script_entries()
+    entries[1] = fixtures.gen_entry(entries[1]["match"], json.dumps(key_elements),
+                                    fixtures.one_token(json.dumps(key_elements)),
+                                    regex=True)
+    script = fixtures.write_script(tmp_path / "surrogate.jsonl", entries)
+    assert main(["answer", "--mock-script", str(script), "--question",
+                 fixtures.REPLAY_QUESTION, "--context", replay_cli_files["context"]]) == 0
+    assert capsys.readouterr().out == fixtures.CORRECTIVE_TEXT + "\n"
+
+
 def test_build_graph_blank_context_exits_one(replay_cli_files, tmp_path, capsys):
     blank = tmp_path / "blank.txt"
     blank.write_text("  \n\t ", encoding="utf-8")

@@ -239,6 +239,15 @@ def test_script_bool_is_not_a_number_reports_line_number(tmp_path, entry, messag
         load_mock_script(path)
 
 
+def test_script_regex_nested_too_deeply_is_a_bad_regex(tmp_path):
+    good = fixtures.gen_entry("q0", "a", fixtures.one_token("a"))
+    deep = fixtures.gen_entry(fixtures.DEEP_REGEX, "a", fixtures.one_token("a"),
+                              regex=True)
+    path = fixtures.write_script(tmp_path / "bad.jsonl", [good, deep])
+    with pytest.raises(ParseError, match="^script line 2: bad regex: "):
+        load_mock_script(path)
+
+
 def test_script_rejects_token_text_mismatch(tmp_path):
     entry = fixtures.gen_entry("q", "hello", fixtures.one_token("other"))
     path = fixtures.write_script(tmp_path / "bad.jsonl", [entry])

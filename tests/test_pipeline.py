@@ -6,6 +6,7 @@ import ast
 import inspect
 import json
 import math
+import sys
 import threading
 import time
 from dataclasses import asdict, replace
@@ -515,8 +516,12 @@ def test_validation_error_messages_carry_field_path():
     pytest.param(lambda: PipelineConfig(max_segment_tokens=0),
                  "max_segment_tokens: must be >= 1, got 0", id="pipeline"),
     pytest.param(lambda: PipelineConfig(temperature=-1.0),
-                 "temperature: must be finite and >= 0, got -1.0",
+                 "temperature: must be >= 0, got -1.0",
                  id="pipeline-resolution"),
+    # A path's score is at most alpha + beta: an inf sum would write
+    # ``"score": Infinity`` into a paths file.
+    pytest.param(lambda: PipelineConfig(alpha=1e308, beta=1e308),
+                 "alpha+beta: must be finite, got inf", id="coverage-weights-overflow"),
 ])
 def test_config_is_checked_when_built(build, message):
     with pytest.raises(ValidationError) as err:
@@ -525,17 +530,20 @@ def test_config_is_checked_when_built(build, message):
 
 
 @pytest.mark.parametrize("key, value, expects", [
-    pytest.param("tau", "abc", "a number", id="float"),
+    pytest.param("tau", "abc", "a number or null", id="float"),
     pytest.param("parallelism", "2", "an integer", id="int"),
     pytest.param("parallelism", True, "an integer", id="bool-is-no-int"),
     pytest.param("trace", 1, "a boolean", id="bool"),
     pytest.param("model_id", 5, "a string", id="str"),
-    pytest.param("tau", 10**400, "a number", id="int-too-large-for-a-float"),
+    pytest.param("tau", 10**400, None, id="int-too-large-for-a-float"),
 ])
 def test_parse_config_override_must_have_its_key_type(key, value, expects):
     with pytest.raises(ValidationError) as err:
         parse_config(None, {key: value})
-    assert str(err.value) == f"{key}: must be {expects}, got {value!r}"
+    if expects is None:
+        assert str(err.value) == f"{key}: integer too large for a float"
+    else:
+        assert str(err.value) == f"{key}: must be {expects}, got {value!r}"
 
 
 @pytest.mark.parametrize("key, value", [
@@ -575,7 +583,7 @@ def test_parse_config_override_takes_an_int_for_a_float_key():
 
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: PipelineConfig(tau="abc"),
-                 "tau: must be a number, got 'abc'", id="str-for-float"),
+                 "tau: must be a number or null, got 'abc'", id="str-for-float"),
     pytest.param(lambda: PipelineConfig(parallelism="2"),
                  "parallelism: must be an integer, got '2'", id="str-for-int"),
     pytest.param(lambda: PipelineConfig(max_tokens=2.5),
@@ -585,7 +593,7 @@ def test_parse_config_override_takes_an_int_for_a_float_key():
     pytest.param(lambda: PipelineConfig(alpha=False),
                  "alpha: must be a number, got False", id="bool-for-float"),
     pytest.param(lambda: PipelineConfig(tau=10**400),
-                 f"tau: must be a number, got {10**400}",
+                 "tau: integer too large for a float",
                  id="int-too-large-for-a-float"),
 ])
 def test_config_field_types_are_checked_when_built(build, message):
@@ -599,6 +607,60 @@ def test_config_stores_an_int_for_a_float_field_as_a_float():
     assert cfg.tau == 2.0 and type(cfg.tau) is float
     assert type(cfg.temperature) is float and type(cfg.alpha) is float
     assert PipelineConfig(tau=None).tau is None
+
+
+# One config field per type, and the values the table test gives each.
+_FIELD_OF_TYPE = {int: "max_tokens", float: "temperature", float | None: "tau",
+                  str: "model_id", bool: "trace"}
+_BIG = int(sys.float_info.max) + 1  # rounds to the largest float
+_TYPE_VALUES = [True, 0, 2, 2.5, 10**400, _BIG, math.nan, math.inf, "x", None]
+_ACCEPTED = {
+    int: [0, 2, 10**400, _BIG],
+    float: [0, 2, 2.5, _BIG],
+    float | None: [0, 2, 2.5, _BIG, None],
+    str: ["x"],
+    bool: [True],
+}
+
+
+def _read_or_error(read, value):
+    try:
+        result = read(value)
+    except ValidationError as exc:
+        return "rejected", str(exc)
+    return type(result), result
+
+
+@pytest.mark.parametrize("hint", list(_FIELD_OF_TYPE),
+                         ids=["int", "float", "float-or-none", "str", "bool"])
+def test_config_and_file_reader_share_one_type_rule(hint):
+    """``decode`` and a config field of the same type accept the same values
+    and store the same value and type."""
+    key = _FIELD_OF_TYPE[hint]
+
+    def config_reads(value):
+        try:
+            return getattr(PipelineConfig(**{key: value}), key)
+        except ValidationError as exc:
+            if str(exc).startswith(f"{key}: must be >= "):  # a bound, after the type
+                return value
+            raise
+
+    for value in _TYPE_VALUES:
+        from_file = _read_or_error(lambda v: decode(hint, v, key), value)
+        assert _read_or_error(config_reads, value) == from_file, value
+        accepted = any(type(value) is type(v) and value == v for v in _ACCEPTED[hint])
+        assert (from_file[0] != "rejected") == accepted, value
+
+
+def test_readme_config_file_example_parses_and_names_every_key(tmp_path):
+    block = fixtures.readme_config_block()
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    parse_config(path)
+    named = {line.partition("=")[0].strip() for line in block.splitlines()
+             if line.strip() and not line.lstrip().startswith("#")}
+    assert named == config.ALL_KEYS
 
 
 def test_package_exports_exactly_its_public_names():
