@@ -139,7 +139,7 @@ def _cmd_retrieve_paths(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     gateway = _gateway_or_exit(cfg)
     trace = QueryTrace(mode=cfg.mode, question=args.question)
-    p_super = retrieve_phase(args.question, graph, cfg, gateway, trace)
+    p_super, _ = retrieve_phase(args.question, graph, cfg, gateway, trace)
     traced = asdict(trace)
     payload = {
         key: traced[key]

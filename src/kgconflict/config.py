@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .errors import TYPE_NAMES, ValidationError, require, require_type
+from .errors import ValidationError, require, require_type
 
 # Each pipeline mode: where its contexts come from, and whether the entropy
 # filter picks among them. Graph paths and raw chunks are candidates, with the
@@ -115,22 +115,16 @@ class PipelineConfig:
 _HINTS = get_type_hints(PipelineConfig)
 KEY_TYPES = {key: (get_args(hint) or (hint,))[0] for key, hint in _HINTS.items()}
 ALL_KEYS = set(KEY_TYPES)
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _coerce(key: str, raw: str, where: str) -> object:
+    """The file's text as the key's type; text that is not one fails the type rule."""
     kind = KEY_TYPES[key]
-    if kind is bool:
-        lowered = raw.casefold()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-    else:
-        try:
-            return kind(raw)  # a str key keeps the text as it is
-        except ValueError:
-            pass
-    raise ValidationError(f"{where}: {key} expects {TYPE_NAMES[kind]}, got {raw!r}")
+    try:
+        return _BOOL_WORDS[raw.casefold()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):  # a str key keeps the text, so it never gets here
+        return require_type(_HINTS[key], raw, where)
 
 
 def _read_config_file(path: str | Path) -> dict[str, object]:
@@ -153,7 +147,7 @@ def _read_config_file(path: str | Path) -> dict[str, object]:
         raw = raw.strip().strip("\"'")
         if key not in ALL_KEYS:
             raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = _coerce(key, raw, f"{path}:{line_no}")
+        values[key] = _coerce(key, raw, f"{path}:{line_no}: {key}")
     return values
 
 

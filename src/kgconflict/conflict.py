@@ -130,13 +130,17 @@ def _probe(
     contexts: Sequence[str],
     gateway: ModelGateway,
     cfg: PipelineConfig,
+    baseline: tuple[str, float] | Exception | None = None,
 ) -> EntropyReport:
-    """The parametric baseline and each context's entropy delta, in one gather."""
-    (parametric_answer, h_param), *measured = gather(
-        [partial(parametric_baseline, query, gateway, cfg)]
-        + [partial(_answer, query, c, gateway, cfg) for c in contexts],
-        cfg.parallelism,
-    )
+    """Each context's entropy delta against the parametric baseline: ``baseline``,
+    asked for already (its answer and entropy, or its error), else the gather's first."""
+    if isinstance(baseline, Exception):
+        raise baseline
+    calls = [partial(_answer, query, c, gateway, cfg) for c in contexts]
+    if baseline is None:
+        calls.insert(0, partial(parametric_baseline, query, gateway, cfg))
+    measured = gather(calls, cfg.parallelism)
+    parametric_answer, h_param = baseline or measured.pop(0)
 
     tau = cfg.effective_tau
     deltas = [h_aug - h_param for _ans, h_aug in measured]
@@ -160,6 +164,7 @@ def entropy_filtered_response(
     cfg: PipelineConfig,
     raw_context: str | None = None,
     filtered: bool = True,
+    baseline: tuple[str, float] | Exception | None = None,
 ) -> ResolutionOutcome:
     """Run the conflict loop over arbitrary context strings.
 
@@ -169,7 +174,7 @@ def entropy_filtered_response(
     Unfiltered, no probe is made, every context counts as corrective and the
     outcome has no report; the fallback rule is the same. At temperature 0 a
     final context equal to a probed one takes that probe's answer, as the
-    final request would be the same one.
+    final request would be the same one. ``baseline`` goes to the probe.
     """
     if not contexts and not raw_context:
         raise FallbackExhausted(
@@ -177,7 +182,7 @@ def entropy_filtered_response(
         )
 
     if filtered:
-        report = _probe(query, contexts, gateway, cfg)
+        report = _probe(query, contexts, gateway, cfg, baseline)
         corrective = report.corrective_indexes()
     else:
         report, corrective = None, list(range(len(contexts)))
@@ -212,10 +217,12 @@ def resolve(
     gateway: ModelGateway,
     cfg: PipelineConfig,
     raw_context: str | None = None,
+    baseline: tuple[str, float] | Exception | None = None,
 ) -> ResolutionOutcome:
     """Full conflict resolution over the selected reasoning paths.
 
-    Computes the parametric baseline, measures each path's entropy delta,
+    Computes the parametric baseline, unless ``baseline`` holds it or the
+    error asking for it raised, measures each path's entropy delta,
     keeps the strictly-above-threshold paths as corrective context, and
     generates the final response from them (or from the configured fallback
     when no path crosses the threshold).
@@ -224,6 +231,7 @@ def resolve(
         if path.rendered_context is None:
             raise ValidationError("resolve: every path needs a rendered context")
     contexts = [path.rendered_context for path in p_super]
-    outcome = entropy_filtered_response(query, contexts, gateway, cfg, raw_context)
+    outcome = entropy_filtered_response(query, contexts, gateway, cfg, raw_context,
+                                        baseline=baseline)
     outcome.corrective_paths = [p_super[i] for i in outcome.report.corrective_indexes()]
     return outcome

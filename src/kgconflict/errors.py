@@ -75,10 +75,15 @@ class SchemaVersionMismatch(PipelineError):
 def require(ok: bool, where: str, rule: str, value: object) -> None:
     """Raise ``ValidationError("<where>: must be <rule>, got <value>")`` unless ok.
 
-    The value is shown as its repr, cut at 40 characters.
+    The value is shown as its repr, cut at 40 characters; an int too long for
+    ``repr`` is shown by its digit count.
     """
     if not ok:
-        raise ValidationError(f"{where}: must be {rule}, got {repr(value)[:40]}")
+        try:
+            shown = repr(value)[:40]
+        except ValueError:  # past the int-to-str digit limit
+            shown = f"an int of about {int(value.bit_length() * 0.30103) + 1} digits"
+        raise ValidationError(f"{where}: must be {rule}, got {shown}")
 
 
 def require_type(hint, value, where: str):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
@@ -350,21 +351,18 @@ def build_graph(extracted: Iterable[TripleExtraction]) -> KnowledgeGraph:
     with "; ", and duplicate (head, relation, tail) triples collapse keeping
     the first occurrence's evidence.
     """
-    entity_acc: dict[str, _AttributeAccumulator] = {}
-    relation_acc: dict[str, _AttributeAccumulator] = {}
+    # An accumulator is built only on a key's first sighting.
+    entity_acc: dict[str, _AttributeAccumulator] = defaultdict(_AttributeAccumulator)
+    relation_acc: dict[str, _AttributeAccumulator] = defaultdict(_AttributeAccumulator)
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
 
     for ext in extracted:
         triple = ext.triple
         key = (triple.head, triple.relation, triple.tail)
-        entity_acc.setdefault(triple.head, _AttributeAccumulator()).add(
-            ext.head_surface, ext.head_desc, triple.source_segment
-        )
-        entity_acc.setdefault(triple.tail, _AttributeAccumulator()).add(
-            ext.tail_surface, ext.tail_desc, triple.source_segment
-        )
-        relation_acc.setdefault(triple.relation, _AttributeAccumulator()).add(
+        entity_acc[triple.head].add(ext.head_surface, ext.head_desc, triple.source_segment)
+        entity_acc[triple.tail].add(ext.tail_surface, ext.tail_desc, triple.source_segment)
+        relation_acc[triple.relation].add(
             ext.relation_surface, ext.rel_desc, triple.source_segment
         )
         if key in seen:

@@ -8,8 +8,8 @@ entropy filter runs: ``config.MODE_TABLE`` says which, and one body runs them
 all.
 
 Independent model calls overlap, ``cfg.parallelism`` at most at a time: the
-segment extractions with the key elements, then the parametric baseline with
-the entropy probes.
+segment extractions with the key elements, the parametric baseline with the
+embedding call that ranks the graph, then the entropy probes.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ import logging
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable, TypeVar
 
 from .conflict import (
     EntropyReport,
     ResolutionOutcome,
     entropy_filtered_response,
+    parametric_baseline,
     plain_answer,
     resolve,
 )
@@ -51,6 +53,8 @@ from .retrieval import (
 )
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -97,11 +101,12 @@ def _extract_or_skip(seg: Segment, cfg: PipelineConfig,
         return None
 
 
-def _key_elements_or_error(question: str, cfg: PipelineConfig,
-                           gateway: ModelGateway) -> QueryKeyElements | Exception:
+def _result_or_error(call: Callable[..., T], *args) -> T | Exception:
+    """``call(*args)``, or the exception it raised: a gather leaf whose error the
+    caller raises later, where a call made one by one would have raised it."""
     try:
-        return extract_key_elements(question, gateway, cfg)
-    except Exception as exc:  # raised only once the graph is known to be non-empty
+        return call(*args)
+    except Exception as exc:
         return exc
 
 
@@ -120,7 +125,7 @@ def build_phase(context: str, cfg: PipelineConfig, gateway: ModelGateway,
         trace.segments = segment(context, cfg.max_segment_tokens)
     calls = [partial(_extract_or_skip, seg, cfg, gateway) for seg in trace.segments]
     if question is not None and cfg.parallelism > 1 and calls:
-        calls.append(partial(_key_elements_or_error, question, cfg, gateway))
+        calls.append(partial(_result_or_error, extract_key_elements, question, gateway, cfg))
     extracted = gather(calls, cfg.parallelism)
     key = extracted.pop() if len(extracted) > len(trace.segments) else None
     graph = build_graph(ext for exts in extracted if exts is not None for ext in exts)
@@ -134,17 +139,24 @@ def build_phase(context: str, cfg: PipelineConfig, gateway: ModelGateway,
 
 
 def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
-                   gateway: ModelGateway, trace: QueryTrace) -> list[ReasoningPath]:
+                   gateway: ModelGateway, trace: QueryTrace, with_baseline: bool = False
+                   ) -> tuple[list[ReasoningPath], tuple[str, float] | Exception | None]:
     """Key elements, rank, enumerate, score, select and render the paths.
 
     An empty graph yields no paths and makes no model call, and key elements
     already on the trace are kept. Every decision is recorded on the trace.
+    With ``with_baseline`` and a non-empty graph, the parametric baseline runs
+    in one gather with the ranking's embedding call, and its (answer, entropy),
+    or the error it raised, comes back beside the paths; else None does.
     """
     if graph.is_empty():
-        return []
+        return [], None
     if trace.key_elements is None:
         trace.key_elements = extract_key_elements(question, gateway, cfg)
-    important = top_k_important(graph, trace.key_elements, cfg, gateway)
+    calls = [partial(top_k_important, graph, trace.key_elements, cfg, gateway)]
+    if with_baseline:
+        calls.append(partial(_result_or_error, parametric_baseline, question, gateway, cfg))
+    important, *baseline = gather(calls, cfg.parallelism)
     trace.important_entities = list(important.entities)
     trace.important_relations = list(important.relations)
     p_init = enumerate_paths(graph, important)
@@ -155,7 +167,7 @@ def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
     for path in p_super:
         contextualize(path, graph, important)
     trace.p_super = p_super
-    return p_super
+    return p_super, baseline[0] if baseline else None
 
 
 def answer_query(
@@ -170,7 +182,8 @@ def answer_query(
     script, config): everything except wall-clock timings is reproduced
     bit-identically, under any ``parallelism``. Above 1, the key elements
     are asked for during extraction, so phase 1's timing takes in work of
-    phase 2; ``timings["total"]`` spans the whole call.
+    phase 2. In ``full`` mode phase 2 also asks for the parametric baseline,
+    beside the embedding call; ``timings["total"]`` spans the whole call.
     """
     if not question or not question.strip():
         raise ValidationError("answer_query: question must be non-empty")
@@ -186,10 +199,10 @@ def answer_query(
         trace.segments = segment(raw, cfg.max_segment_tokens)
     t1 = time.perf_counter()
     if source == "paths":
-        trace.p_super = retrieve_phase(question, graph, cfg, gateway, trace)
+        _paths, baseline = retrieve_phase(question, graph, cfg, gateway, trace, filtered)
     t2 = time.perf_counter()
     if source == "paths" and filtered:
-        outcome = resolve(question, trace.p_super, gateway, cfg, raw)
+        outcome = resolve(question, trace.p_super, gateway, cfg, raw, baseline)
     elif source in ("paths", "segments"):
         contexts = ([p.rendered_context or "" for p in trace.p_super]
                     if source == "paths" else [s.text for s in trace.segments])

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from kgconflict import (
 )
 from kgconflict import config
 from kgconflict.config import MODE_TABLE, MODEL_TAU_DEFAULTS, MODES
+from kgconflict.conflict import parametric_baseline
 from kgconflict.jsonio import decode
 from kgconflict.pipeline import build_gateway
 from kgconflict.prompts import REPAIR_NOTE
@@ -410,6 +412,121 @@ def test_key_elements_error_is_dropped_with_an_empty_graph(tmp_path):
     assert traces[0] == traces[1]
 
 
+_PARAMETRIC_PROMPT = "Answer the question from your own knowledge"
+
+
+class _OverlapGateway(fixtures.RecordingGateway):
+    """Holds each call briefly, an embed call longest; keeps the order calls
+    start in, by stage, and each pair of stages that had calls in flight
+    together."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.lock = threading.Lock()
+        self.started: list[str] = []
+        self.out: list[str] = []
+        self.together: set[frozenset[str]] = set()
+
+    def _held(self, stage: str, call, hold: float = 0.02):
+        with self.lock:
+            self.started.append(stage)
+            self.together.update(frozenset((stage, other)) for other in self.out)
+            self.out.append(stage)
+        try:
+            time.sleep(hold)
+            return call()
+        finally:
+            with self.lock:
+                self.out.remove(stage)
+
+    def generate(self, req):
+        return self._held(_stage(req.prompt), partial(super().generate, req))
+
+    def embed(self, texts):
+        return self._held("embed", partial(super().embed, texts), hold=0.1)
+
+
+class _FailingEmbedGateway(_FailingGateway):
+    """A _FailingGateway whose embed call fails too, after ``delay``."""
+
+    def __init__(self, inner, failures, delay: float) -> None:
+        super().__init__(inner, failures)
+        self.delay = delay
+
+    def embed(self, texts):
+        time.sleep(self.delay)
+        self.failed.append("embed")
+        raise ScriptMiss("embed")
+
+
+def test_parametric_baseline_is_asked_beside_the_embedding_call(
+    replay_config, replay_gateway
+):
+    gateway = _OverlapGateway(replay_gateway)
+    answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
+                 replace(replay_config, parallelism=2), gateway)
+    assert frozenset(("parametric", "embed")) in gateway.together
+    assert gateway.started.count("parametric") == 1
+
+
+def test_serial_full_query_asks_in_stage_order(replay_config, replay_gateway):
+    gateway = _OverlapGateway(replay_gateway)
+    cfg = replace(replay_config, max_segment_tokens=_MULTI_SEGMENT_TOKENS)
+    _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg,
+                            gateway)
+    assert len(trace.segments) > 1
+    assert gateway.started == (["extract"] * len(trace.segments)
+                               + ["key_elements", "embed", "parametric"]
+                               + ["probe"] * len(trace.p_super))
+    assert gateway.together == set()
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_embedding_error_wins_over_a_baseline_error(
+    replay_config, replay_gateway, parallelism
+):
+    """The baseline fails first in time; the ranking's embed error surfaces."""
+    gateway = _FailingEmbedGateway(
+        replay_gateway, {"parametric": (_PARAMETRIC_PROMPT, 0.0)}, delay=0.05)
+    with pytest.raises(ScriptMiss, match="^embed$"):
+        answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
+                     replace(replay_config, parallelism=parallelism), gateway)
+    assert gateway.failed == (["embed"] if parallelism == 1
+                              else ["parametric", "embed"])
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_baseline_error_surfaces_as_asking_it_alone_raises(
+    tmp_path, replay_config, parallelism
+):
+    entries = [e for e in fixtures.replay_script_entries()
+               if e["match"] != _PARAMETRIC_PROMPT]
+    gateway = fixtures.RecordingGateway(
+        load_mock_script(fixtures.write_script(tmp_path / "s.jsonl", entries)))
+    cfg = replace(replay_config, parallelism=parallelism)
+    with pytest.raises(ScriptMiss) as alone:
+        parametric_baseline(fixtures.REPLAY_QUESTION, gateway, cfg)
+    with pytest.raises(ScriptMiss) as err:
+        answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg, gateway)
+    assert str(err.value) == str(alone.value)
+    assert "probe" not in {_stage(req.prompt) for req in gateway.requests}
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_empty_graph_full_query_asks_the_baseline_once(tmp_path, parallelism):
+    no_triples = fixtures.gen_entry("Extract factual knowledge triples", "[]",
+                                    fixtures.one_token("[]"), regex=True)
+    script = fixtures.write_script(tmp_path / "s.jsonl",
+                                   [no_triples, *fixtures.replay_script_entries()])
+    gateway = fixtures.RecordingGateway(load_mock_script(script))
+    cfg = PipelineConfig(mock_script=str(script), parallelism=parallelism)
+    _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT, cfg,
+                            gateway)
+    assert trace.graph_stats["triples"] == 0 and trace.fallback_used == "raw_context"
+    assert [_stage(req.prompt) for req in gateway.requests].count("parametric") == 1
+    assert gateway.embedded == []
+
+
 # ---------------------------------------------------------------------------
 # Config parsing
 
@@ -600,6 +717,29 @@ def test_config_field_types_are_checked_when_built(build, message):
     with pytest.raises(ValidationError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_config_names_an_int_too_long_to_show():
+    with pytest.raises(ValidationError) as err:
+        PipelineConfig(model_id=10**5000)
+    assert str(err.value) == "model_id: must be a string, got an int of about 5001 digits"
+
+
+@pytest.mark.parametrize("line, message", [
+    pytest.param("tau = abc", "tau: must be a number or null, got 'abc'", id="float-or-null"),
+    pytest.param("alpha = 1.0.0", "alpha: must be a number, got '1.0.0'", id="float"),
+    pytest.param("parallelism = 2.5", "parallelism: must be an integer, got '2.5'",
+                 id="int"),
+    pytest.param("trace = maybe", "trace: must be a boolean, got 'maybe'", id="bool"),
+    pytest.param("k_similar = " + "9" * 5000,
+                 "k_similar: must be an integer, got '" + "9" * 39, id="cut-at-40"),
+])
+def test_config_file_type_errors_use_the_one_message_form(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# settings\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}:2: {message}"
 
 
 def test_config_stores_an_int_for_a_float_field_as_a_float():
