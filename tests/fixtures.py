@@ -98,17 +98,20 @@ DEEP_REGEX = "(" * 5_000 + ")" * 5_000
 
 
 class RecordingGateway:
-    """Passes every call to ``inner`` and keeps its requests and embed inputs."""
+    """Passes every call to ``inner`` and keeps its requests and embed inputs;
+    ``calls`` holds both, each prompt or embed input list in call order."""
 
     def __init__(self, inner) -> None:
-        self.inner, self.requests, self.embedded = inner, [], []
+        self.inner, self.requests, self.embedded, self.calls = inner, [], [], []
 
     def generate(self, req):
         self.requests.append(req)
+        self.calls.append(req.prompt)
         return self.inner.generate(req)
 
     def embed(self, texts):
         self.embedded.append(texts)
+        self.calls.append(list(texts))
         return self.inner.embed(texts)
 
 

@@ -1,0 +1,125 @@
+"""Byte-identity gate over the benchmark's inputs.
+
+The first records of each benchmark workload's seed-1 inputs run through
+``run_eval`` in every mode, at ``parallelism`` 1 and 3, answered by the
+workload's mock script (the HTTP workload's loopback server answers from the
+same script). The sha256 of ``results.csv``, ``summary.json``, the trace lines
+without timings and the p = 1 request list (each prompt and embed input, in
+call order) must equal ``tests/golden/workloads.json``; at p = 3 the outputs
+are the same and the requests are the same multiset.
+
+A change meant to alter outputs rewrites the golden file with
+``PYTHONPATH=src python tests/test_workload_goldens.py`` and names each
+changed digest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from collections import Counter
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+import fixtures
+
+from kgconflict import load_dataset, load_mock_script, parse_config, run_eval
+from kgconflict.config import MODES
+from kgconflict.evaluation import write_results_csv, write_summary_json
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = Path(__file__).parent / "golden" / "workloads.json"
+WORKLOADS = ("eval_backend_bound", "eval_hub_cpu", "eval_http_loopback")
+SEED = 1
+RECORDS = 20
+
+
+def _generate(workload: str, out_dir: Path):
+    """The workload's dataset, mock script and config file, written to ``out_dir``."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    gen = workloads.generate(workload, SEED, out_dir)
+    config = out_dir / "config.txt"
+    config.write_text(gen.config_text(f"mock_script = {gen.script}"), encoding="utf-8")
+    return config, load_dataset(gen.dataset)[:RECORDS], load_mock_script(gen.script)
+
+
+def _sha(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _run(inputs, mode: str, parallelism: int, out_dir: Path) -> tuple[dict, list]:
+    """One eval run's digests, and the requests it made in call order."""
+    config, records, script_gateway = inputs
+    cfg = parse_config(config, {"mode": mode, "parallelism": parallelism})
+    gateway = fixtures.RecordingGateway(script_gateway)
+    lines = []
+
+    def sink(trace):
+        record = asdict(trace)
+        del record["timings"]
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+
+    result = run_eval(records, cfg, gateway, trace_sink=sink)
+    out_dir.mkdir(parents=True)
+    write_results_csv(result, out_dir / "results.csv")
+    write_summary_json(result, out_dir / "summary.json")
+    calls = [json.dumps(call) for call in gateway.calls]
+    return {
+        "results.csv": _sha((out_dir / "results.csv").read_bytes()),
+        "summary.json": _sha((out_dir / "summary.json").read_bytes()),
+        "trace": _sha("".join(lines)),
+        "requests": _sha("\n".join(calls)),
+    }, calls
+
+
+@pytest.fixture(scope="module")
+def workload_inputs(tmp_path_factory):
+    made = {}
+
+    def inputs(workload: str):
+        if workload not in made:
+            made[workload] = _generate(workload, tmp_path_factory.mktemp(workload))
+        return made[workload]
+
+    return inputs
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_outputs_match_golden_at_every_parallelism(
+    workload_inputs, tmp_path, workload, mode
+):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"{workload}/{mode}"]
+    serial, serial_calls = _run(workload_inputs(workload), mode, 1, tmp_path / "p1")
+    parallel, parallel_calls = _run(workload_inputs(workload), mode, 3, tmp_path / "p3")
+    assert serial == golden
+    assert {k: v for k, v in parallel.items() if k != "requests"} == {
+        k: v for k, v in golden.items() if k != "requests"}
+    assert Counter(parallel_calls) == Counter(serial_calls)
+
+
+def main() -> None:
+    """Rewrite the golden file from the current program's p = 1 runs."""
+    import logging
+    import tempfile
+
+    logging.disable(logging.WARNING)  # the workloads plan skipped segments
+    golden = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in WORKLOADS:
+            inputs = _generate(workload, Path(tmp) / workload)
+            for mode in MODES:
+                golden[f"{workload}/{mode}"], _ = _run(
+                    inputs, mode, 1, Path(tmp) / workload / mode)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()
