@@ -139,7 +139,7 @@ def _cmd_retrieve_paths(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     gateway = _gateway_or_exit(cfg)
     trace = QueryTrace(mode=cfg.mode, question=args.question)
-    p_super, _ = retrieve_phase(args.question, graph, cfg, gateway, trace)
+    retrieve_phase(args.question, graph, cfg, gateway, trace)
     traced = asdict(trace)
     payload = {
         key: traced[key]
@@ -148,7 +148,7 @@ def _cmd_retrieve_paths(args: argparse.Namespace) -> int:
     }
     payload.update(schema_version=PATHS_SCHEMA_VERSION, paths=traced["p_super"])
     write_json(args.out, payload)
-    print(f"{len(p_super)} paths (of {trace.p_init_count} candidates) -> {args.out}")
+    print(f"{len(trace.p_super)} paths (of {trace.p_init_count} candidates) -> {args.out}")
     return EXIT_OK
 
 
@@ -161,17 +161,17 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                         "resolve needs a non-blank --question (or a paths file with one)")
     context = _read_text(args.context) if args.context else ""
     gateway = _gateway_or_exit(cfg)
-    outcome = resolve_paths(question, p_super, gateway, cfg,
-                            raw_context=context if context.strip() else None)
+    trace = QueryTrace(mode=cfg.mode, question=question, p_super=p_super)
+    resolve_paths(trace, gateway, cfg, raw_context=context if context.strip() else None)
     payload = {
-        "response": outcome.response,
-        "fallback_used": outcome.fallback_used,
-        "corrective_paths": [list(p.nodes) for p in outcome.corrective_paths],
-        "report": asdict(outcome.report),
+        "response": trace.response,
+        "fallback_used": trace.fallback_used,
+        "corrective_paths": [list(p.nodes) for p in trace.corrective_paths],
+        "report": asdict(trace.report),
     }
     if args.out:
         write_json(args.out, payload)
-    print(outcome.response)
+    print(trace.response)
     return EXIT_OK
 
 

@@ -119,12 +119,13 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False,
 
 
 def _coerce(key: str, raw: str, where: str) -> object:
-    """The file's text as the key's type; text that is not one fails the type rule."""
+    """The file's text as the key's type; the type rule judges the result (no ``nan``)."""
     kind = KEY_TYPES[key]
     try:
-        return _BOOL_WORDS[raw.casefold()] if kind is bool else kind(raw)
+        value = _BOOL_WORDS[raw.casefold()] if kind is bool else kind(raw)
     except (KeyError, ValueError):  # a str key keeps the text, so it never gets here
-        return require_type(_HINTS[key], raw, where)
+        value = raw
+    return require_type(_HINTS[key], value, where)
 
 
 def _read_config_file(path: str | Path) -> dict[str, object]:

@@ -4,14 +4,15 @@ The model's uncertainty is measured as mean per-token Shannon entropy (bits)
 over the top-k candidate distribution of each generated answer token. Paths
 whose entropy delta against the parametric baseline exceeds the threshold
 are corrective: they contradict what the model believes and become the
-context for the final answer.
+context for the final answer. Resolution writes its report, answer, fallback
+and final context onto the query's ``QueryTrace``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence, TypeVar
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
 import numpy as np
 
@@ -19,7 +20,9 @@ from .config import FALLBACK_NONE, FALLBACK_RAW_CONTEXT, FALLBACK_TOP_DELTA, Pip
 from .errors import EmptySequence, FallbackExhausted, ValidationError
 from .gateway import GenerationResult, ModelGateway, TokenLogprobs, ask, gather
 from .prompts import ANSWER_AUGMENTED, ANSWER_PARAMETRIC, render
-from .retrieval import ReasoningPath
+
+if TYPE_CHECKING:
+    from .pipeline import QueryTrace
 
 T = TypeVar("T")
 
@@ -49,15 +52,6 @@ class EntropyReport:
 
     def corrective_indexes(self) -> list[int]:
         return [p.index for p in self.per_path if p.corrective]
-
-
-@dataclass
-class ResolutionOutcome:
-    response: str
-    corrective_paths: list[ReasoningPath]
-    fallback_used: str
-    report: EntropyReport | None
-    final_context: str = ""
 
 
 def mean_token_entropy(tokens: TokenLogprobs) -> float:
@@ -158,23 +152,23 @@ def _probe(
 
 
 def entropy_filtered_response(
-    query: str,
+    trace: QueryTrace,
     contexts: Sequence[str],
     gateway: ModelGateway,
     cfg: PipelineConfig,
     raw_context: str | None = None,
     filtered: bool = True,
     baseline: tuple[str, float] | Exception | None = None,
-) -> ResolutionOutcome:
-    """Run the conflict loop over arbitrary context strings.
+) -> QueryTrace:
+    """Answer ``trace.question`` from the corrective ``contexts``; sets the
+    trace's ``report``, ``response``, ``fallback_used`` and ``final_context``.
 
     Shared by path-based resolution and the knowledge-graph-free ablation,
-    which filters raw chunks instead of rendered paths. The outcome has no
-    corrective paths: ``report.corrective_indexes()`` index ``contexts``.
-    Unfiltered, no probe is made, every context counts as corrective and the
-    outcome has no report; the fallback rule is the same. At temperature 0 a
-    final context equal to a probed one takes that probe's answer, as the
-    final request would be the same one. ``baseline`` goes to the probe.
+    which filters raw chunks: ``report`` indexes ``contexts``. Unfiltered, no
+    probe is made, every context counts as corrective and the trace gets no
+    report; the fallback rule is the same. At temperature 0 a final context
+    equal to a probed one takes that probe's answer, as the final request
+    would be the same one. ``baseline`` goes to the probe.
     """
     if not contexts and not raw_context:
         raise FallbackExhausted(
@@ -182,7 +176,7 @@ def entropy_filtered_response(
         )
 
     if filtered:
-        report = _probe(query, contexts, gateway, cfg, baseline)
+        report = _probe(trace.question, contexts, gateway, cfg, baseline)
         corrective = report.corrective_indexes()
     else:
         report, corrective = None, list(range(len(contexts)))
@@ -201,37 +195,30 @@ def entropy_filtered_response(
     if report is not None and cfg.temperature == 0 and final_context in contexts:
         response = report.augmented_answers[contexts.index(final_context)]
     else:
-        response = plain_answer(query, final_context, gateway, cfg)
-    return ResolutionOutcome(
-        response=response,
-        corrective_paths=[],
-        fallback_used=fallback_used,
-        report=report,
-        final_context=final_context,
-    )
+        response = plain_answer(trace.question, final_context, gateway, cfg)
+    trace.report, trace.response = report, response
+    trace.fallback_used, trace.final_context = fallback_used, final_context
+    return trace
 
 
 def resolve(
-    query: str,
-    p_super: Sequence[ReasoningPath],
+    trace: QueryTrace,
     gateway: ModelGateway,
     cfg: PipelineConfig,
     raw_context: str | None = None,
     baseline: tuple[str, float] | Exception | None = None,
-) -> ResolutionOutcome:
-    """Full conflict resolution over the selected reasoning paths.
+) -> QueryTrace:
+    """Full conflict resolution over the trace's selected paths, ``p_super``.
 
     Computes the parametric baseline, unless ``baseline`` holds it or the
     error asking for it raised, measures each path's entropy delta,
     keeps the strictly-above-threshold paths as corrective context, and
     generates the final response from them (or from the configured fallback
-    when no path crosses the threshold).
+    when no path crosses the threshold), all on the trace it returns.
     """
-    for path in p_super:
+    for path in trace.p_super:
         if path.rendered_context is None:
             raise ValidationError("resolve: every path needs a rendered context")
-    contexts = [path.rendered_context for path in p_super]
-    outcome = entropy_filtered_response(query, contexts, gateway, cfg, raw_context,
-                                        baseline=baseline)
-    outcome.corrective_paths = [p_super[i] for i in outcome.report.corrective_indexes()]
-    return outcome
+    contexts = [path.rendered_context for path in trace.p_super]
+    return entropy_filtered_response(trace, contexts, gateway, cfg, raw_context,
+                                     baseline=baseline)

@@ -2,10 +2,11 @@
 
 Phase 1 builds the knowledge graph from the retrieved context, phase 2
 retrieves and renders reasoning paths for the question, and phase 3 runs
-entropy-based conflict resolution and generates the answer. The ablation
-modes differ only in where the candidate contexts come from and whether the
-entropy filter runs: ``config.MODE_TABLE`` says which, and one body runs them
-all.
+entropy-based conflict resolution and generates the answer. Each phase
+records its decisions on the query's ``QueryTrace`` and returns only what the
+trace does not hold. The ablation modes differ only in where the candidate
+contexts come from and whether the entropy filter runs: ``config.MODE_TABLE``
+says which, and one body runs them all.
 
 Independent model calls overlap, ``cfg.parallelism`` at most at a time: the
 segment extractions with the key elements, the parametric baseline with the
@@ -22,7 +23,6 @@ from typing import Callable, TypeVar
 
 from .conflict import (
     EntropyReport,
-    ResolutionOutcome,
     entropy_filtered_response,
     parametric_baseline,
     plain_answer,
@@ -80,6 +80,12 @@ class QueryTrace:
     final_context: str = ""
     fallback_used: str = ""
     timings: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def corrective_paths(self) -> list[ReasoningPath]:
+        """The paths the entropy filter kept: none without a report or a path."""
+        kept = self.report.corrective_indexes() if self.report and self.p_super else []
+        return [self.p_super[i] for i in kept]
 
 
 def build_gateway(cfg: PipelineConfig) -> ModelGateway:
@@ -140,17 +146,17 @@ def build_phase(context: str, cfg: PipelineConfig, gateway: ModelGateway,
 
 def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
                    gateway: ModelGateway, trace: QueryTrace, with_baseline: bool = False
-                   ) -> tuple[list[ReasoningPath], tuple[str, float] | Exception | None]:
-    """Key elements, rank, enumerate, score, select and render the paths.
+                   ) -> tuple[str, float] | Exception | None:
+    """Key elements, rank, enumerate, score, select and render ``trace.p_super``.
 
     An empty graph yields no paths and makes no model call, and key elements
     already on the trace are kept. Every decision is recorded on the trace.
     With ``with_baseline`` and a non-empty graph, the parametric baseline runs
     in one gather with the ranking's embedding call, and its (answer, entropy),
-    or the error it raised, comes back beside the paths; else None does.
+    or the error it raised, is returned; else None is.
     """
     if graph.is_empty():
-        return [], None
+        return None
     if trace.key_elements is None:
         trace.key_elements = extract_key_elements(question, gateway, cfg)
     calls = [partial(top_k_important, graph, trace.key_elements, cfg, gateway)]
@@ -167,7 +173,7 @@ def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
     for path in p_super:
         contextualize(path, graph, important)
     trace.p_super = p_super
-    return p_super, baseline[0] if baseline else None
+    return baseline[0] if baseline else None
 
 
 def answer_query(
@@ -178,12 +184,13 @@ def answer_query(
 ) -> tuple[str, QueryTrace]:
     """Run the configured pipeline mode for one (question, context) pair.
 
-    Under the mock backend this is a pure function of (question, context,
-    script, config): everything except wall-clock timings is reproduced
-    bit-identically, under any ``parallelism``. Above 1, the key elements
-    are asked for during extraction, so phase 1's timing takes in work of
-    phase 2. In ``full`` mode phase 2 also asks for the parametric baseline,
-    beside the embedding call; ``timings["total"]`` spans the whole call.
+    Every phase writes its decisions on the returned trace. Under the mock
+    backend this is a pure function of (question, context, script, config):
+    everything except wall-clock timings is reproduced bit-identically, under
+    any ``parallelism``. Above 1, the key elements are asked for during
+    extraction, so phase 1's timing takes in work of phase 2. In ``full`` mode
+    phase 2 also asks for the parametric baseline, beside the embedding call;
+    ``timings["total"]`` spans the whole call.
     """
     if not question or not question.strip():
         raise ValidationError("answer_query: question must be non-empty")
@@ -199,29 +206,21 @@ def answer_query(
         trace.segments = segment(raw, cfg.max_segment_tokens)
     t1 = time.perf_counter()
     if source == "paths":
-        _paths, baseline = retrieve_phase(question, graph, cfg, gateway, trace, filtered)
+        baseline = retrieve_phase(question, graph, cfg, gateway, trace, filtered)
     t2 = time.perf_counter()
     if source == "paths" and filtered:
-        outcome = resolve(question, trace.p_super, gateway, cfg, raw, baseline)
+        resolve(trace, gateway, cfg, raw, baseline)
     elif source in ("paths", "segments"):
         contexts = ([p.rendered_context or "" for p in trace.p_super]
                     if source == "paths" else [s.text for s in trace.segments])
-        outcome = entropy_filtered_response(question, contexts, gateway, cfg, raw,
-                                            filtered)
+        entropy_filtered_response(trace, contexts, gateway, cfg, raw, filtered)
     else:  # the raw text, or no context at all, is the final context as it is
         if source == "raw" and raw is None:
             raise FallbackExhausted(f"{cfg.mode}: no context to answer from")
         final = raw if source == "raw" else None
-        outcome = ResolutionOutcome(
-            response=plain_answer(question, final, gateway, cfg),
-            corrective_paths=[], fallback_used="", report=None, final_context=final or "",
-        )
+        trace.response = plain_answer(question, final, gateway, cfg)
+        trace.final_context = final or ""
     t3 = time.perf_counter()
-
-    trace.response = outcome.response
-    trace.report = outcome.report
-    trace.fallback_used = outcome.fallback_used
-    trace.final_context = outcome.final_context
     trace.timings = {
         "phase1_construction": t1 - t0,
         "phase2_retrieval": t2 - t1,

@@ -16,6 +16,7 @@ from kgconflict import (
     EmptySequence,
     FallbackExhausted,
     PipelineConfig,
+    QueryTrace,
     ReasoningPath,
     TokenCandidate,
     TokenLogprobs,
@@ -56,6 +57,11 @@ def entropy_oracle_bits(position_logprobs: list[list[float]]) -> float:
 
 def _gw(tmp_path, entries):
     return load_mock_script(fixtures.write_script(tmp_path / "s.jsonl", entries))
+
+
+def _trace(paths=()) -> QueryTrace:
+    """A trace of the question every resolution test asks, holding ``paths``."""
+    return QueryTrace(mode="full", question="q?", p_super=list(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +200,7 @@ def test_same_distribution_gives_zero_delta(tmp_path):
                            "same", dist, regex=True),
     ])
     report = conflict.entropy_filtered_response(
-        "q?", ["ctx"], gw, PipelineConfig()
+        _trace(), ["ctx"], gw, PipelineConfig()
     ).report
     (probe,) = report.per_path
     assert probe.h_aug == report.h_param
@@ -212,7 +218,7 @@ def test_entropy_direction_of_change(tmp_path):
                            "base", base, regex=True),
     ])
     report = conflict.entropy_filtered_response(
-        "q?", ["conflicting evidence", "supporting evidence"], gw, PipelineConfig()
+        _trace(), ["conflicting evidence", "supporting evidence"], gw, PipelineConfig()
     ).report
     conflicting, supporting = report.per_path
     assert report.h_param == pytest.approx(fixtures.two_way_entropy_bits(0.9), abs=1e-12)
@@ -229,7 +235,7 @@ def test_resolve_requires_rendered_context(tmp_path):
     path = _rendered_path("x")
     path.rendered_context = None
     with pytest.raises(ValidationError, match="rendered context"):
-        resolve("q?", [path], gw, PipelineConfig())
+        resolve(_trace([path]), gw, PipelineConfig())
 
 
 def test_unfiltered_response_answers_from_every_context_without_a_probe(tmp_path):
@@ -240,17 +246,17 @@ def test_unfiltered_response_answers_from_every_context_without_a_probe(tmp_path
     )])
     cfg = PipelineConfig(fallback="raw_context")
     outcome = conflict.entropy_filtered_response(
-        "q?", ["a", "b"], gw, cfg, raw_context="raw", filtered=False
+        _trace(), ["a", "b"], gw, cfg, raw_context="raw", filtered=False
     )
     assert outcome.report is None
     assert outcome.final_context == "a" + conflict.CONTEXT_DELIMITER + "b"
     assert (outcome.response, outcome.fallback_used) == ("ans", "none")
     outcome = conflict.entropy_filtered_response(
-        "q?", [], gw, cfg, raw_context="raw", filtered=False
+        _trace(), [], gw, cfg, raw_context="raw", filtered=False
     )
     assert (outcome.final_context, outcome.fallback_used) == ("raw", "raw_context")
     with pytest.raises(FallbackExhausted):
-        conflict.entropy_filtered_response("q?", [], gw, cfg, filtered=False)
+        conflict.entropy_filtered_response(_trace(), [], gw, cfg, filtered=False)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +324,7 @@ def _paths(n):
 
 def test_resolve_selects_corrective_paths(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False, True, False]))
-    outcome = resolve("q?", _paths(3), gw, PipelineConfig(tau=1.0))
+    outcome = resolve(_trace(_paths(3)), gw, PipelineConfig(tau=1.0))
     assert outcome.fallback_used == "none"
     assert [p.rendered_context for p in outcome.corrective_paths] == [
         "ctx1 content"
@@ -336,7 +342,7 @@ def test_resolve_concatenates_multiple_corrective_contexts(tmp_path):
     # The concatenated two-context prompt needs its own entry; the ctx0
     # entry would match first, which is fine for response selection.
     gw = _gw(tmp_path, entries)
-    outcome = resolve("q?", _paths(3), gw, PipelineConfig(tau=1.0))
+    outcome = resolve(_trace(_paths(3)), gw, PipelineConfig(tau=1.0))
     assert outcome.final_context == "ctx0 content\n-----\nctx2 content"
     assert [p.rendered_context for p in outcome.corrective_paths] == [
         "ctx0 content", "ctx2 content"
@@ -345,7 +351,7 @@ def test_resolve_concatenates_multiple_corrective_contexts(tmp_path):
 
 def test_resolve_falls_back_to_top_delta(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False, False]))
-    outcome = resolve("q?", _paths(2), gw,
+    outcome = resolve(_trace(_paths(2)), gw,
                       PipelineConfig(tau=5.0, fallback="top_delta"))
     assert outcome.fallback_used == "top_delta"
     assert outcome.corrective_paths == []
@@ -356,14 +362,14 @@ def test_resolve_falls_back_to_top_delta(tmp_path):
 def test_resolve_takes_an_unset_tau_from_the_model_table(tmp_path):
     # The corrective path's delta (~1.5 bits) clears 1.0 but not Qwen's 3.0.
     gw = _gw(tmp_path, _resolution_entries([False, True]))
-    outcome = resolve("q?", _paths(2), gw, PipelineConfig(model_id="Qwen2.5-7B-Instruct"))
+    outcome = resolve(_trace(_paths(2)), gw, PipelineConfig(model_id="Qwen2.5-7B-Instruct"))
     assert outcome.report.tau == 3.0
     assert outcome.fallback_used == "top_delta"
 
 
 def test_resolve_raw_context_fallback_when_no_paths(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([]))
-    outcome = resolve("q?", [], gw, PipelineConfig(tau=1.0),
+    outcome = resolve(_trace([]), gw, PipelineConfig(tau=1.0),
                       raw_context="the raw retrieved text")
     assert outcome.fallback_used == "raw_context"
     assert outcome.response == "raw"
@@ -372,7 +378,7 @@ def test_resolve_raw_context_fallback_when_no_paths(tmp_path):
 
 def test_resolve_configured_raw_fallback_wins_over_paths(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False]))
-    outcome = resolve("q?", _paths(1), gw,
+    outcome = resolve(_trace(_paths(1)), gw,
                       PipelineConfig(tau=5.0, fallback="raw_context"),
                       raw_context="the raw retrieved text")
     assert outcome.fallback_used == "raw_context"
@@ -380,7 +386,7 @@ def test_resolve_configured_raw_fallback_wins_over_paths(tmp_path):
 
 def test_resolve_raw_fallback_cascades_to_top_delta_without_raw(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False]))
-    outcome = resolve("q?", _paths(1), gw,
+    outcome = resolve(_trace(_paths(1)), gw,
                       PipelineConfig(tau=5.0, fallback="raw_context"))
     assert outcome.fallback_used == "top_delta"
 
@@ -388,20 +394,20 @@ def test_resolve_raw_fallback_cascades_to_top_delta_without_raw(tmp_path):
 def test_resolve_exhausted_without_paths_or_raw(tmp_path):
     gw = _gw(tmp_path, [])
     with pytest.raises(FallbackExhausted):
-        resolve("q?", [], gw, PipelineConfig())
+        resolve(_trace([]), gw, PipelineConfig())
 
 
 def test_resolve_corrective_nonempty_implies_no_fallback(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([True]))
-    outcome = resolve("q?", _paths(1), gw, PipelineConfig(tau=1.0))
+    outcome = resolve(_trace(_paths(1)), gw, PipelineConfig(tau=1.0))
     assert outcome.corrective_paths and outcome.fallback_used == "none"
 
 
 def test_resolve_deterministic_across_calls(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False, True]))
     cfg = PipelineConfig(tau=1.0)
-    first = resolve("q?", _paths(2), gw, cfg)
-    second = resolve("q?", _paths(2), gw, cfg)
+    first = resolve(_trace(_paths(2)), gw, cfg)
+    second = resolve(_trace(_paths(2)), gw, cfg)
     assert first.response == second.response
     assert first.report == second.report
     assert first.final_context == second.final_context
@@ -410,8 +416,8 @@ def test_resolve_deterministic_across_calls(tmp_path):
 def test_resolve_parallel_equals_serial(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([False, True, False, True]))
     cfg = PipelineConfig(tau=1.0)
-    serial = resolve("q?", _paths(4), gw, cfg)
-    parallel = resolve("q?", _paths(4), gw, replace(cfg, parallelism=4))
+    serial = resolve(_trace(_paths(4)), gw, cfg)
+    parallel = resolve(_trace(_paths(4)), gw, replace(cfg, parallelism=4))
     assert serial.report == parallel.report
     assert serial.response == parallel.response
 
@@ -431,7 +437,7 @@ def test_final_answer_reuses_only_an_identical_probe_at_temperature_0(
 ):
     gw = fixtures.RecordingGateway(_gw(tmp_path, _resolution_entries(flat)))
     cfg = PipelineConfig(**{"tau": 1.0, "parallelism": parallelism, **settings})
-    outcome = resolve("q?", _paths(len(flat)), gw, cfg, raw_context=raw)
+    outcome = resolve(_trace(_paths(len(flat))), gw, cfg, raw_context=raw)
     prompts = [req.prompt for req in gw.requests]
     assert len(prompts) == 1 + len(flat) + final_call
     assert (CONTEXT_DELIMITER in outcome.final_context) == (len(
@@ -451,14 +457,14 @@ def test_resolve_computes_entropy_once_per_probe(tmp_path, monkeypatch):
 
     monkeypatch.setattr(conflict, "mean_token_entropy", counting)
     gw = _gw(tmp_path, _resolution_entries([False, True, False]))
-    outcome = resolve("q?", _paths(3), gw, PipelineConfig(tau=1.0))
+    outcome = resolve(_trace(_paths(3)), gw, PipelineConfig(tau=1.0))
     assert outcome.fallback_used == "none"
     assert len(calls) == 3 + 1
 
 
 def test_entropy_report_round_trips_via_dict(tmp_path):
     gw = _gw(tmp_path, _resolution_entries([True, False]))
-    outcome = resolve("q?", _paths(2), gw, PipelineConfig(tau=1.0))
+    outcome = resolve(_trace(_paths(2)), gw, PipelineConfig(tau=1.0))
     report = outcome.report
     assert asdict(report)["per_path"] == [
         {"index": p.index, "h_aug": p.h_aug, "delta_h": p.delta_h,

@@ -13,11 +13,12 @@ import ast
 import importlib
 import sys
 from dataclasses import fields
+from functools import reduce
 from pathlib import Path
 
 import fixtures
 
-from kgconflict import pipeline
+from kgconflict import conflict, pipeline
 from kgconflict.gateway import GenerationRequest, GenerationResult
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -113,3 +114,48 @@ def test_loopback_server_uses_gateway_type_fields():
     assert keywords and read
     assert keywords <= _field_names(GenerationRequest)
     assert read <= _field_names(GenerationResult)
+
+
+def _chains_read_from_out(branch: str) -> dict[tuple[str, ...], bool]:
+    """The attribute chains (``out.report.per_path``) that the ``branch`` case
+    of ``tracer._result_info`` reads from the layer function's return value,
+    each with whether the case calls what the chain reads."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (info,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_result_info"]
+    (case,) = [
+        node for node in ast.walk(info)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+        and any(isinstance(c, ast.Constant) and c.value == branch
+                for c in node.test.comparators)
+    ]
+    nodes = [node for stmt in case.body for node in ast.walk(stmt)]
+    inner = {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
+    called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    chains = {}
+    for node in nodes:
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        chain, is_called = [], id(node) in called
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "out":
+            chains[tuple(chain)] = is_called
+    return chains
+
+
+def test_tracer_reads_what_resolve_returns(replay_config, replay_gateway):
+    """The tracer turns a missing attribute into an ``info_error`` and a null
+    ``conflict.*`` metric, so each chain it reads must resolve here, to a
+    value (``corrective_paths`` is a property) unless the tracer calls it."""
+    chains = _chains_read_from_out("conflict.resolve")
+    trace = pipeline.QueryTrace(mode=replay_config.mode, question=fixtures.REPLAY_QUESTION)
+    graph, _ = pipeline.build_phase(fixtures.REPLAY_CONTEXT, replay_config,
+                                    replay_gateway, trace)
+    pipeline.retrieve_phase(fixtures.REPLAY_QUESTION, graph, replay_config,
+                            replay_gateway, trace)
+    out = conflict.resolve(trace, replay_gateway, replay_config, fixtures.REPLAY_CONTEXT)
+    assert chains
+    for chain, is_called in chains.items():
+        assert callable(reduce(getattr, chain, out)) == is_called, chain

@@ -20,6 +20,7 @@ import fixtures
 from kgconflict import (
     FallbackExhausted,
     PipelineConfig,
+    QueryTrace,
     ScriptMiss,
     ValidationError,
     answer_query,
@@ -242,13 +243,46 @@ def test_trace_replays_resolution(replay_config, replay_gateway, tmp_path):
     )
     dumped = asdict(trace)
     rebuilt = decode(list[ReasoningPath], dumped["p_super"], "p_super")
-    outcome = resolve(
-        dumped["question"], rebuilt, replay_gateway,
-        replay_config,
-        raw_context=fixtures.REPLAY_CONTEXT,
+    replayed = resolve(
+        QueryTrace(mode=dumped["mode"], question=dumped["question"], p_super=rebuilt),
+        replay_gateway, replay_config, raw_context=fixtures.REPLAY_CONTEXT,
     )
-    assert outcome.response == response
-    assert asdict(outcome.report) == dumped["report"]
+    assert replayed.response == response
+    assert asdict(replayed.report) == dumped["report"]
+
+
+# A trace record's keys; ``corrective_paths`` is a property, so it is not one.
+_TRACE_KEYS = {
+    "mode", "question", "segments", "triples", "graph_stats", "key_elements",
+    "important_entities", "important_relations", "p_init_count", "p_super",
+    "report", "response", "final_context", "fallback_used", "timings",
+}
+
+
+def test_corrective_paths_are_the_paths_the_report_kept(replay_config, replay_gateway):
+    _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
+                            replay_config, replay_gateway)
+    kept = trace.report.corrective_indexes()
+    assert kept and trace.corrective_paths == [trace.p_super[i] for i in kept]
+    assert [p.nodes for p in trace.corrective_paths] == [fixtures.TARGET_PATH_NODES]
+    assert set(asdict(trace)) == _TRACE_KEYS
+
+
+@pytest.mark.parametrize("mode", ["no_kg", "no_conflict"])
+def test_corrective_paths_are_empty_without_a_report_or_a_path(
+    replay_config, replay_gateway, mode
+):
+    """In ``no_kg`` the report indexes segments and there is no path; a tau
+    every delta clears makes it keep one."""
+    cfg = replace(replay_config, mode=mode, tau=-100.0)
+    _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
+                            cfg, replay_gateway)
+    if mode == "no_kg":
+        assert trace.report.corrective_indexes() == [0] and trace.p_super == []
+    else:
+        assert trace.report is None and trace.p_super
+    assert trace.corrective_paths == []
+    assert set(asdict(trace)) == _TRACE_KEYS
 
 
 def test_decode_reads_a_json_integer_as_a_float():
@@ -733,6 +767,9 @@ def test_config_names_an_int_too_long_to_show():
     pytest.param("trace = maybe", "trace: must be a boolean, got 'maybe'", id="bool"),
     pytest.param("k_similar = " + "9" * 5000,
                  "k_similar: must be an integer, got '" + "9" * 39, id="cut-at-40"),
+    pytest.param("tau = nan", "tau: must be finite, got nan", id="nan"),
+    pytest.param("tau = inf", "tau: must be finite, got inf", id="inf"),
+    pytest.param("alpha = 1e999", "alpha: must be finite, got inf", id="overflow"),
 ])
 def test_config_file_type_errors_use_the_one_message_form(tmp_path, line, message):
     path = tmp_path / "run.cfg"
