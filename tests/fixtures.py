@@ -1,9 +1,12 @@
-"""Shared builders for mock scripts, token distributions, and random graphs."""
+"""Shared builders for mock scripts, token distributions, random graphs and
+the benchmark's generated inputs."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,9 @@ from kgconflict import (
     build_graph,
     normalize_name,
 )
+from kgconflict.errors import BackendUnavailable, LogprobsUnsupported, ParseError, ScriptMiss
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # ---------------------------------------------------------------------------
 # Token-distribution helpers (script-side logprobs are natural log).
@@ -113,6 +119,51 @@ class RecordingGateway:
         self.embedded.append(texts)
         self.calls.append(list(texts))
         return self.inner.embed(texts)
+
+
+FAULTS = (BackendUnavailable, ScriptMiss, LogprobsUnsupported, ParseError)
+
+
+class FaultyGateway:
+    """Passes every call to ``inner``, but fails one whose request hashes under
+    ``rate``: the sha256 of ``salt`` plus the prompt, or plus the embed texts
+    joined by newlines. The same hash picks the error from ``FAULTS`` and names
+    it in the message, so which calls fail, and how, depends on the requests
+    alone, never on thread timing."""
+
+    def __init__(self, inner, salt: str, rate: float) -> None:
+        self.inner, self.salt, self.rate = inner, salt, rate
+
+    def _check(self, request: str) -> None:
+        digest = hashlib.sha256(
+            (self.salt + request).encode("utf-8", "surrogatepass")).digest()
+        if int.from_bytes(digest[:8], "big") < self.rate * 2**64:
+            raise FAULTS[digest[8] % len(FAULTS)](f"injected fault {digest[:6].hex()}")
+
+    def generate(self, req):
+        self._check(req.prompt)
+        return self.inner.generate(req)
+
+    def embed(self, texts):
+        self._check("\n".join(texts))
+        return self.inner.embed(texts)
+
+
+def generate_workload(workload: str, seed: int, out_dir: Path):
+    """A benchmark workload's generated inputs for ``seed`` in ``out_dir``, and a
+    config file there that answers them from the workload's mock script.
+
+    Returns perfbench's ``Generated`` (dataset, script and the planned outcome
+    of every record) and the config path. ``perfbench/`` is read, never edited.
+    """
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    gen = workloads.generate(workload, seed, out_dir)
+    config = out_dir / "config.txt"
+    config.write_text(gen.config_text(f"mock_script = {gen.script}"), encoding="utf-8")
+    return gen, config
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -30,7 +29,6 @@ from kgconflict import load_dataset, load_mock_script, parse_config, run_eval
 from kgconflict.config import MODES
 from kgconflict.evaluation import write_results_csv, write_summary_json
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = Path(__file__).parent / "golden" / "workloads.json"
 WORKLOADS = ("eval_backend_bound", "eval_hub_cpu", "eval_http_loopback")
 SEED = 1
@@ -38,14 +36,8 @@ RECORDS = 20
 
 
 def _generate(workload: str, out_dir: Path):
-    """The workload's dataset, mock script and config file, written to ``out_dir``."""
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
-    import workloads
-
-    gen = workloads.generate(workload, SEED, out_dir)
-    config = out_dir / "config.txt"
-    config.write_text(gen.config_text(f"mock_script = {gen.script}"), encoding="utf-8")
+    """The workload's config file, first records and mock script, in ``out_dir``."""
+    gen, config = fixtures.generate_workload(workload, SEED, out_dir)
     return config, load_dataset(gen.dataset)[:RECORDS], load_mock_script(gen.script)
 
 
