@@ -121,7 +121,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_VALIDATION, f"{args.context}: context is empty")
     gateway = _gateway_or_exit(cfg)
     trace = QueryTrace(mode=cfg.mode, question="")
-    graph, skipped = build_phase(content, cfg, gateway, trace)
+    graph, skipped = build_phase(trace, content, cfg, gateway)
     save_graph(graph, args.out)
     stats = graph.stats()
     print(
@@ -139,7 +139,7 @@ def _cmd_retrieve_paths(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     gateway = _gateway_or_exit(cfg)
     trace = QueryTrace(mode=cfg.mode, question=args.question)
-    retrieve_phase(args.question, graph, cfg, gateway, trace)
+    retrieve_phase(trace, graph, cfg, gateway)
     traced = asdict(trace)
     payload = {
         key: traced[key]

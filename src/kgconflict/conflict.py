@@ -4,8 +4,9 @@ The model's uncertainty is measured as mean per-token Shannon entropy (bits)
 over the top-k candidate distribution of each generated answer token. Paths
 whose entropy delta against the parametric baseline exceeds the threshold
 are corrective: they contradict what the model believes and become the
-context for the final answer. Resolution writes its report, answer, fallback
-and final context onto the query's ``QueryTrace``.
+context for the final answer. Resolution reads the question and the paths
+from the query's ``QueryTrace`` and writes its report, answer, fallback and
+final context onto it.
 """
 
 from __future__ import annotations
@@ -124,12 +125,10 @@ def _probe(
     contexts: Sequence[str],
     gateway: ModelGateway,
     cfg: PipelineConfig,
-    baseline: tuple[str, float] | Exception | None = None,
+    baseline: tuple[str, float] | None = None,
 ) -> EntropyReport:
     """Each context's entropy delta against the parametric baseline: ``baseline``,
-    asked for already (its answer and entropy, or its error), else the gather's first."""
-    if isinstance(baseline, Exception):
-        raise baseline
+    the (answer, entropy) asked for already, else the gather's first."""
     calls = [partial(_answer, query, c, gateway, cfg) for c in contexts]
     if baseline is None:
         calls.insert(0, partial(parametric_baseline, query, gateway, cfg))
@@ -158,7 +157,7 @@ def entropy_filtered_response(
     cfg: PipelineConfig,
     raw_context: str | None = None,
     filtered: bool = True,
-    baseline: tuple[str, float] | Exception | None = None,
+    baseline: tuple[str, float] | None = None,
 ) -> QueryTrace:
     """Answer ``trace.question`` from the corrective ``contexts``; sets the
     trace's ``report``, ``response``, ``fallback_used`` and ``final_context``.
@@ -206,15 +205,15 @@ def resolve(
     gateway: ModelGateway,
     cfg: PipelineConfig,
     raw_context: str | None = None,
-    baseline: tuple[str, float] | Exception | None = None,
+    baseline: tuple[str, float] | None = None,
 ) -> QueryTrace:
     """Full conflict resolution over the trace's selected paths, ``p_super``.
 
-    Computes the parametric baseline, unless ``baseline`` holds it or the
-    error asking for it raised, measures each path's entropy delta,
-    keeps the strictly-above-threshold paths as corrective context, and
-    generates the final response from them (or from the configured fallback
-    when no path crosses the threshold), all on the trace it returns.
+    Computes the parametric baseline unless ``baseline`` holds it already,
+    measures each path's entropy delta, keeps the strictly-above-threshold
+    paths as corrective context, and generates the final response from them
+    (or from the configured fallback when no path crosses the threshold), all
+    on the trace it returns.
     """
     for path in trace.p_super:
         if path.rendered_context is None:

@@ -203,25 +203,22 @@ def cpr(processed_context: str, record: EvalRecord) -> float:
     return min(1.0, max(0.0, related_chars / len(processed_context)))
 
 
-def _evaluate_record(
-    record: EvalRecord, cfg: PipelineConfig, gateway: ModelGateway
-) -> tuple[RecordResult, QueryTrace]:
-    response, trace = answer_query(record.question, record.context, cfg, gateway)
-    deltas = (
-        [p.delta_h for p in trace.report.per_path] if trace.report is not None else []
-    )
+def record_result(record: EvalRecord, trace: QueryTrace) -> RecordResult:
+    """The record's results row, computed from its ``answer_query`` trace alone."""
+    report = trace.report
+    deltas = [p.delta_h for p in report.per_path] if report is not None else []
     return RecordResult(
         record_id=record.id,
-        prediction=response,
-        correct=is_correct(response, record.gold_answers),
+        prediction=trace.response,
+        correct=is_correct(trace.response, record.gold_answers),
         cpr=cpr(trace.final_context, record) if record.gold_spans is not None else None,
-        h_param=trace.report.h_param if trace.report is not None else None,
+        h_param=report.h_param if report is not None else None,
         delta_h_min=min(deltas) if deltas else None,
         delta_h_max=max(deltas) if deltas else None,
         context_tokens=len(trace.final_context.split()),
         wall_time=trace.timings["total"],
         fallback=trace.fallback_used,
-    ), trace
+    )
 
 
 def run_eval(
@@ -242,11 +239,12 @@ def run_eval(
 
     def one(record: EvalRecord) -> tuple[RecordResult | PipelineError, QueryTrace | None]:
         try:
-            return _evaluate_record(record, cfg, gateway)
+            _response, trace = answer_query(record.question, record.context, cfg, gateway)
         except PipelineError as exc:
             if cfg.skip_errors:
                 return exc, None
             raise
+        return record_result(record, trace), trace
 
     rows: list[RecordResult] = []
     skipped: list[tuple[str, str]] = []

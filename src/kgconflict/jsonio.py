@@ -12,6 +12,7 @@ import json
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from pathlib import Path
+from types import UnionType
 from typing import Iterator, get_args, get_origin, get_type_hints
 
 from .errors import ParseError, ValidationError, require, require_type
@@ -65,15 +66,26 @@ def decode(hint, value, where: str):
     """Parsed JSON ``value`` read as type ``hint``, else ValidationError at ``where``.
 
     A dataclass reads an object, and a field missing from it takes its default
-    or is an error. ``list[X]``, ``tuple[X, ...]`` and ``frozenset[X]`` read a
-    list, or a tuple as ``dataclasses.asdict`` leaves it. A scalar or an
-    ``X | None`` of one is read by ``errors.require_type``, the config's rule.
+    or is an error; ``D | None`` of a dataclass D reads null or a D.
+    ``list[X]``, ``tuple[X, ...]`` and ``frozenset[X]`` read a list, or a tuple
+    as ``dataclasses.asdict`` leaves it, and ``tuple[X, Y]`` one of that length.
+    ``dict[str, X]`` reads an object. A scalar or an ``X | None`` of one is read
+    by ``errors.require_type``, the config's rule.
     """
-    origin = get_origin(hint)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple and args[-1] is not Ellipsis:
+        require(isinstance(value, (list, tuple)) and len(value) == len(args), where,
+                f"a list of {len(args)} items", value)
+        return tuple(decode(a, v, f"{where}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, value)))
     if origin in _SEQUENCES:
         require(isinstance(value, (list, tuple)), where, "a list", value)
-        item = get_args(hint)[0]
-        return origin(decode(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+        return origin(decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        require(isinstance(value, dict), where, "an object", value)
+        return {k: decode(args[1], v, f"{where}.{k}") for k, v in value.items()}
+    if isinstance(hint, UnionType) and is_dataclass(args[0]):  # D | None
+        return None if value is None else decode(args[0], value, where)
     if not is_dataclass(hint):
         return require_type(hint, value, where)
     require(isinstance(value, dict), where, "an object", value)

@@ -2,11 +2,11 @@
 
 Phase 1 builds the knowledge graph from the retrieved context, phase 2
 retrieves and renders reasoning paths for the question, and phase 3 runs
-entropy-based conflict resolution and generates the answer. Each phase
-records its decisions on the query's ``QueryTrace`` and returns only what the
-trace does not hold. The ablation modes differ only in where the candidate
-contexts come from and whether the entropy filter runs: ``config.MODE_TABLE``
-says which, and one body runs them all.
+entropy-based conflict resolution and generates the answer. Each phase reads
+the question from the query's ``QueryTrace``, records its decisions there and
+returns only what the trace does not hold. The ablation modes differ only in
+where the candidate contexts come from and whether the entropy filter runs:
+``config.MODE_TABLE`` says which, and one body runs them all.
 
 Independent model calls overlap, ``cfg.parallelism`` at most at a time: the
 segment extractions with the key elements, the parametric baseline with the
@@ -108,30 +108,31 @@ def _extract_or_skip(seg: Segment, cfg: PipelineConfig,
 
 
 def _result_or_error(call: Callable[..., T], *args) -> T | Exception:
-    """``call(*args)``, or the exception it raised: a gather leaf whose error the
-    caller raises later, where a call made one by one would have raised it."""
+    """``call(*args)``, or the exception it raised. Only the key-element rider
+    needs it: an empty graph drops its result and its error alike, as p = 1 does."""
     try:
         return call(*args)
     except Exception as exc:
         return exc
 
 
-def build_phase(context: str, cfg: PipelineConfig, gateway: ModelGateway,
-                trace: QueryTrace, question: str | None = None
-                ) -> tuple[KnowledgeGraph, int]:
+def build_phase(trace: QueryTrace, context: str, cfg: PipelineConfig,
+                gateway: ModelGateway) -> tuple[KnowledgeGraph, int]:
     """Segment, extract and build; returns the graph and the skipped-segment count.
 
     The extractions run as one gather; a segment whose extraction still fails
-    after the repair retry is skipped. Given a question at ``parallelism`` > 1,
-    its key elements join the gather. An empty graph drops them, or their
-    error; else they go on the trace, or the error is raised after any
-    extraction error. Segments, triples and graph stats go on the trace.
+    after the repair retry is skipped. Given a non-empty ``trace.question`` at
+    ``parallelism`` > 1, its key elements join the gather. An empty graph
+    drops them, or their error; else they go on the trace, or the error is
+    raised after any extraction error. Segments, triples and graph stats go on
+    the trace.
     """
     if context.strip():
         trace.segments = segment(context, cfg.max_segment_tokens)
     calls = [partial(_extract_or_skip, seg, cfg, gateway) for seg in trace.segments]
-    if question is not None and cfg.parallelism > 1 and calls:
-        calls.append(partial(_result_or_error, extract_key_elements, question, gateway, cfg))
+    if trace.question and cfg.parallelism > 1 and calls:
+        calls.append(partial(_result_or_error, extract_key_elements, trace.question,
+                             gateway, cfg))
     extracted = gather(calls, cfg.parallelism)
     key = extracted.pop() if len(extracted) > len(trace.segments) else None
     graph = build_graph(ext for exts in extracted if exts is not None for ext in exts)
@@ -144,24 +145,24 @@ def build_phase(context: str, cfg: PipelineConfig, gateway: ModelGateway,
     return graph, sum(exts is None for exts in extracted)
 
 
-def retrieve_phase(question: str, graph: KnowledgeGraph, cfg: PipelineConfig,
-                   gateway: ModelGateway, trace: QueryTrace, with_baseline: bool = False
-                   ) -> tuple[str, float] | Exception | None:
+def retrieve_phase(trace: QueryTrace, graph: KnowledgeGraph, cfg: PipelineConfig,
+                   gateway: ModelGateway, with_baseline: bool = False
+                   ) -> tuple[str, float] | None:
     """Key elements, rank, enumerate, score, select and render ``trace.p_super``.
 
     An empty graph yields no paths and makes no model call, and key elements
     already on the trace are kept. Every decision is recorded on the trace.
-    With ``with_baseline`` and a non-empty graph, the parametric baseline runs
-    in one gather with the ranking's embedding call, and its (answer, entropy),
-    or the error it raised, is returned; else None is.
+    With ``with_baseline`` and a non-empty graph, the question's parametric
+    baseline joins the ranking's embedding call in one gather, and its (answer,
+    entropy) is returned; else None is.
     """
     if graph.is_empty():
         return None
     if trace.key_elements is None:
-        trace.key_elements = extract_key_elements(question, gateway, cfg)
+        trace.key_elements = extract_key_elements(trace.question, gateway, cfg)
     calls = [partial(top_k_important, graph, trace.key_elements, cfg, gateway)]
     if with_baseline:
-        calls.append(partial(_result_or_error, parametric_baseline, question, gateway, cfg))
+        calls.append(partial(parametric_baseline, trace.question, gateway, cfg))
     important, *baseline = gather(calls, cfg.parallelism)
     trace.important_entities = list(important.entities)
     trace.important_relations = list(important.relations)
@@ -201,17 +202,17 @@ def answer_query(
     raw = context if context.strip() else None
     t0 = time.perf_counter()
     if source == "paths":
-        graph, _skipped = build_phase(context, cfg, gateway, trace, question)
+        graph, _skipped = build_phase(trace, context, cfg, gateway)
     elif source == "segments" and raw:
         trace.segments = segment(raw, cfg.max_segment_tokens)
     t1 = time.perf_counter()
     if source == "paths":
-        baseline = retrieve_phase(question, graph, cfg, gateway, trace, filtered)
+        baseline = retrieve_phase(trace, graph, cfg, gateway, filtered)
     t2 = time.perf_counter()
     if source == "paths" and filtered:
         resolve(trace, gateway, cfg, raw, baseline)
     elif source in ("paths", "segments"):
-        contexts = ([p.rendered_context or "" for p in trace.p_super]
+        contexts = ([p.rendered_context for p in trace.p_super]
                     if source == "paths" else [s.text for s in trace.segments])
         entropy_filtered_response(trace, contexts, gateway, cfg, raw, filtered)
     else:  # the raw text, or no context at all, is the final context as it is

@@ -151,10 +151,9 @@ def test_tracer_reads_what_resolve_returns(replay_config, replay_gateway):
     value (``corrective_paths`` is a property) unless the tracer calls it."""
     chains = _chains_read_from_out("conflict.resolve")
     trace = pipeline.QueryTrace(mode=replay_config.mode, question=fixtures.REPLAY_QUESTION)
-    graph, _ = pipeline.build_phase(fixtures.REPLAY_CONTEXT, replay_config,
-                                    replay_gateway, trace)
-    pipeline.retrieve_phase(fixtures.REPLAY_QUESTION, graph, replay_config,
-                            replay_gateway, trace)
+    graph, _ = pipeline.build_phase(trace, fixtures.REPLAY_CONTEXT, replay_config,
+                                    replay_gateway)
+    pipeline.retrieve_phase(trace, graph, replay_config, replay_gateway)
     out = conflict.resolve(trace, replay_gateway, replay_config, fixtures.REPLAY_CONTEXT)
     assert chains
     for chain, is_called in chains.items():

@@ -6,6 +6,7 @@ import ast
 import inspect
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -14,14 +15,21 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
 
 from kgconflict import (
+    EntropyReport,
     FallbackExhausted,
+    PathEdge,
     PipelineConfig,
+    QueryKeyElements,
     QueryTrace,
     ScriptMiss,
+    Segment,
+    Triple,
     ValidationError,
     answer_query,
     load_mock_script,
@@ -31,7 +39,7 @@ from kgconflict import (
 )
 from kgconflict import config
 from kgconflict.config import MODE_TABLE, MODEL_TAU_DEFAULTS, MODES
-from kgconflict.conflict import parametric_baseline
+from kgconflict.conflict import PathEntropy, parametric_baseline
 from kgconflict.jsonio import decode
 from kgconflict.pipeline import build_gateway
 from kgconflict.prompts import REPAIR_NOTE
@@ -299,6 +307,74 @@ def test_trace_serialization_is_json_safe(replay_config, replay_gateway):
     decoded = json.loads(encoded)
     assert decoded["response"] == trace.response
     assert decoded["graph_stats"]["entities"] == 6
+
+
+def _round_trip(trace: QueryTrace) -> QueryTrace:
+    """A trace through its ``trace.jsonl`` line and back."""
+    return decode(QueryTrace, json.loads(json.dumps(asdict(trace), sort_keys=True)),
+                  "trace")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_trace_line_decodes_to_its_trace(replay_config, replay_gateway, mode):
+    _, trace = answer_query(fixtures.REPLAY_QUESTION, fixtures.REPLAY_CONTEXT,
+                            replace(replay_config, mode=mode), replay_gateway)
+    assert _round_trip(trace) == trace
+
+
+_text = st.text(max_size=6)
+_num = st.floats(allow_nan=False, allow_infinity=False)
+_traces = st.builds(
+    QueryTrace,
+    mode=st.sampled_from(MODES),
+    question=_text,
+    segments=st.lists(st.builds(Segment, id=st.integers(), text=_text,
+                                char_range=st.tuples(st.integers(), st.integers()))),
+    triples=st.lists(st.builds(Triple, head=_text, relation=_text, tail=_text,
+                               source_segment=st.integers(), evidence=_text)),
+    graph_stats=st.dictionaries(_text, st.integers()),
+    key_elements=st.none() | st.builds(
+        QueryKeyElements, target_entities=st.lists(_text).map(tuple),
+        target_relations=st.lists(_text).map(tuple), intent=st.text(min_size=1)),
+    important_entities=st.lists(st.tuples(_text, _num)),
+    important_relations=st.lists(st.tuples(_text, _num)),
+    p_init_count=st.integers(),
+    p_super=st.lists(st.builds(
+        ReasoningPath, nodes=st.lists(_text).map(tuple),
+        edges=st.lists(st.builds(PathEdge, relation=_text, triple_index=st.integers(),
+                                 direction=_text)).map(tuple),
+        score=_num, rendered_context=st.none() | _text), max_size=3),
+    report=st.none() | st.builds(
+        EntropyReport, h_param=_num,
+        per_path=st.lists(st.builds(PathEntropy, index=st.integers(), h_aug=_num,
+                                    delta_h=_num, corrective=st.booleans())),
+        tau=_num, parametric_answer=_text, augmented_answers=st.lists(_text)),
+    response=_text, final_context=_text, fallback_used=_text,
+    timings=st.dictionaries(_text, _num),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traces)
+def test_any_trace_line_decodes_to_its_trace(trace):
+    assert _round_trip(trace) == trace
+
+
+@pytest.mark.parametrize("key, value, where", [
+    ("graph_stats", [], "trace.graph_stats"),
+    ("graph_stats", {"triples": 1.5}, "trace.graph_stats.triples"),
+    ("key_elements", "x", "trace.key_elements"),
+    ("key_elements", {"intent": 3}, "trace.key_elements.intent"),
+    ("important_entities", [["a"]], "trace.important_entities[0]"),
+    ("important_entities", [["a", "b"]], "trace.important_entities[0][1]"),
+    ("segments", [{"id": 0, "text": "t", "char_range": [0, 1, 2]}],
+     "trace.segments[0].char_range"),
+    ("report", [], "trace.report"),
+    ("timings", {"total": None}, "trace.timings.total"),
+])
+def test_a_malformed_trace_line_names_the_bad_value(key, value, where):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(where)}: must be "):
+        decode(QueryTrace, {"mode": "full", "question": "q", key: value}, "trace")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ workload's mock script (the HTTP workload's loopback server answers from the
 same script). The sha256 of ``results.csv``, ``summary.json``, the trace lines
 without timings and the p = 1 request list (each prompt and embed input, in
 call order) must equal ``tests/golden/workloads.json``; at p = 3 the outputs
-are the same and the requests are the same multiset.
+are the same and the requests are the same multiset. In every run, each trace
+line decodes back to a trace from which ``record_result`` rebuilds its row,
+wall time included.
 
 A change meant to alter outputs rewrites the golden file with
 ``PYTHONPATH=src python tests/test_workload_goldens.py`` and names each
@@ -25,8 +27,16 @@ import pytest
 
 import fixtures
 
-from kgconflict import load_dataset, load_mock_script, parse_config, run_eval
+from kgconflict import (
+    QueryTrace,
+    load_dataset,
+    load_mock_script,
+    parse_config,
+    record_result,
+    run_eval,
+)
 from kgconflict.config import MODES
+from kgconflict.jsonio import decode
 from kgconflict.evaluation import write_results_csv, write_summary_json
 
 GOLDEN = Path(__file__).parent / "golden" / "workloads.json"
@@ -50,14 +60,19 @@ def _run(inputs, mode: str, parallelism: int, out_dir: Path) -> tuple[dict, list
     config, records, script_gateway = inputs
     cfg = parse_config(config, {"mode": mode, "parallelism": parallelism})
     gateway = fixtures.RecordingGateway(script_gateway)
-    lines = []
+    lines, full_lines = [], []
 
     def sink(trace):
         record = asdict(trace)
+        full_lines.append(json.dumps(record, sort_keys=True))
         del record["timings"]
         lines.append(json.dumps(record, sort_keys=True) + "\n")
 
     result = run_eval(records, cfg, gateway, trace_sink=sink)
+    # Each row is a function of its record and its trace line.
+    traces = [decode(QueryTrace, json.loads(line), "trace") for line in full_lines]
+    assert sorted(map(record_result, records, traces),
+                  key=lambda row: row.record_id) == result.rows
     out_dir.mkdir(parents=True)
     write_results_csv(result, out_dir / "results.csv")
     write_summary_json(result, out_dir / "summary.json")
