@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,12 @@ from .jsonio import read_json_lines
 PROB_MASS_TOLERANCE = 1e-6
 
 DEFAULT_MOCK_EMBEDDING_DIM = 64
+
+# Helper threads for every gather, started only as they are needed. run_eval
+# keeps up to p queries in flight, each gathering with up to p - 1 helpers, so
+# 32 covers p <= 6; above that the callers run what no helper takes.
+GATHER_HELPERS = 32
+_HELPERS = ThreadPoolExecutor(GATHER_HELPERS, thread_name_prefix="gather")
 
 T = TypeVar("T")
 
@@ -158,15 +165,44 @@ def ask(
 def gather(calls: Sequence[Callable[[], T]], parallelism: int) -> list[T]:
     """Run zero-argument calls, at most ``parallelism`` at once; results by index.
 
-    The lowest-index failure is raised. At ``parallelism`` 1, or for one call,
-    they run in order on the calling thread. Pass only leaf calls: one waiting
-    on another task could hold the worker that task needs.
+    The calling thread runs the first call and takes the next free one until
+    none is left; up to ``parallelism`` - 1 helpers from one shared pool take
+    calls beside it. Every call runs, and the lowest-index failure is raised.
+    At ``parallelism`` 1, or for one call, they run in order on the calling
+    thread. A call may gather in turn: each caller works through its own
+    calls, so a busy pool narrows the overlap but cannot stall a gather.
     """
     if parallelism == 1 or len(calls) <= 1:
         return [call() for call in calls]
-    with ThreadPoolExecutor(max_workers=min(parallelism, len(calls))) as pool:
-        futures = [pool.submit(call) for call in calls]
-    return [future.result() for future in futures]
+    results: list = [None] * len(calls)
+    errors: dict[int, Exception] = {}
+    rest = iter(range(1, len(calls)))
+    lock = threading.Lock()
+
+    def take() -> int | None:
+        with lock:
+            return next(rest, None)
+
+    def run(i: int | None) -> None:
+        while i is not None:
+            try:
+                results[i] = calls[i]()
+            except Exception as exc:
+                errors[i] = exc
+            i = take()
+
+    helpers = [_HELPERS.submit(lambda: run(take()))
+               for _ in range(min(parallelism, len(calls)) - 1)]
+    try:
+        run(0)
+    finally:
+        # A helper that has not started would find no call left.
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _check_texts(texts: list[str]) -> None:

@@ -11,6 +11,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import wait
+from functools import partial
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -38,7 +41,7 @@ from kgconflict import (
     cosine,
     load_mock_script,
 )
-from kgconflict.gateway import GenerationResult, ModelGateway
+from kgconflict.gateway import GATHER_HELPERS, GenerationResult, ModelGateway, gather
 from kgconflict.http_gateway import _parse_chat_response
 
 
@@ -766,3 +769,107 @@ def test_gateway_ask_is_the_only_model_call_site():
     # Nothing reads a reply's latency or checks a gateway with isinstance.
     assert "latency" not in GenerationResult.__dataclass_fields__
     assert not getattr(ModelGateway, "_is_runtime_protocol", False)
+
+
+# ---------------------------------------------------------------------------
+# gather: the calling thread and up to p - 1 shared helpers run the calls
+
+
+class _Leaves:
+    """n calls that record (index, thread) as they end and the number in
+    flight. Later calls hold for less, so they tend to end first; a call in
+    ``failing`` raises ValueError(index) after it ran."""
+
+    def __init__(self, n: int, failing: frozenset = frozenset()) -> None:
+        self.lock = threading.Lock()
+        self.inflight = self.inflight_max = 0
+        self.ran: list[tuple[int, int]] = []
+        self.calls = [partial(self._call, i, (n - i) * 0.002, i in failing)
+                      for i in range(n)]
+
+    def _call(self, i: int, hold: float, fail: bool) -> int:
+        with self.lock:
+            self.inflight += 1
+            self.inflight_max = max(self.inflight_max, self.inflight)
+        time.sleep(hold)
+        with self.lock:
+            self.inflight -= 1
+            self.ran.append((i, threading.get_ident()))
+        if fail:
+            raise ValueError(i)
+        return i * i
+
+
+def _finishes(run, timeout: float = 10.0):
+    """run()'s result, from a thread that must end within the timeout."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(run()), daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), "gather did not finish"
+    return out[0]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 4])
+def test_gather_results_by_index_with_the_caller_and_at_most_p_threads(parallelism, n):
+    leaves = _Leaves(n)
+    assert gather(leaves.calls, parallelism) == [i * i for i in range(n)]
+    threads = {thread for _i, thread in leaves.ran}
+    assert threading.get_ident() in threads
+    assert len(threads) <= parallelism and leaves.inflight_max <= parallelism
+    if parallelism == 1:
+        assert [i for i, _thread in leaves.ran] == list(range(n))
+
+
+@pytest.mark.parametrize("failing", [{0}, {4}, {1, 4}, {2, 3, 5}, set(range(6))])
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_gather_raises_the_lowest_index_error(parallelism, failing):
+    """Above p = 1 every call runs first; at p = 1 the calls stop at it."""
+    leaves = _Leaves(6, frozenset(failing))
+    with pytest.raises(ValueError, match=f"^{min(failing)}$"):
+        gather(leaves.calls, parallelism)
+    ran = 6 if parallelism > 1 else min(failing) + 1
+    assert sorted(i for i, _thread in leaves.ran) == list(range(ran))
+
+
+def test_gather_runs_each_call_once_under_fast_thread_switching():
+    runs = [0] * 200
+
+    def call(i: int) -> int:
+        runs[i] += 1
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _finishes(lambda: gather([partial(call, i) for i in range(200)], 8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(200)) and runs == [1] * 200
+
+
+def test_gather_nested_in_a_call_completes_on_its_caller():
+    def outer(i: int):
+        caller = threading.get_ident()
+        inner = gather([partial(lambda j: (i, j, threading.get_ident()), j)
+                        for j in range(3)], 3)
+        return [(i2, j) for i2, j, _thread in inner], inner[0][2] == caller
+
+    results = _finishes(lambda: gather([partial(outer, i) for i in range(4)], 3))
+    assert results == [([(i, j) for j in range(3)], True) for i in range(4)]
+
+
+def test_gather_completes_on_its_caller_while_every_helper_is_blocked():
+    release = threading.Event()
+    # One more than the pool holds, so a blocked call is queued ahead of
+    # any helper the gather asks for.
+    blockers = [kgconflict.gateway._HELPERS.submit(release.wait, 10)
+                for _ in range(GATHER_HELPERS + 1)]
+    try:
+        leaves = _Leaves(5)
+        assert _finishes(lambda: gather(leaves.calls, 3)) == [i * i for i in range(5)]
+        assert len({thread for _i, thread in leaves.ran}) == 1
+    finally:
+        release.set()
+        assert not wait(blockers, timeout=10).not_done
