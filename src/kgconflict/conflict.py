@@ -66,8 +66,6 @@ def mean_token_entropy(tokens: TokenLogprobs) -> float:
         raise EmptySequence("mean_token_entropy: no token positions")
     per_position = []
     for pos in tokens.positions:
-        if not pos.candidates:
-            raise EmptySequence("mean_token_entropy: position with no candidates")
         logprobs = np.array([c.logprob for c in pos.candidates], dtype=np.float64)
         weights = np.exp(logprobs - logprobs.max())
         probs = weights / weights.sum()

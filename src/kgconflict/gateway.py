@@ -73,18 +73,35 @@ class TokenCandidate:
 
 @dataclass(frozen=True)
 class TokenPosition:
-    """One generated position: the chosen token and its top-k candidates."""
+    """One generated position: the chosen token and its top-k candidates.
+
+    Checked when built, so every position is a distribution: a non-empty
+    candidate list, each logprob finite and <= 0, a total exponentiated
+    mass <= 1 + tolerance, and the chosen token among the candidates.
+    """
 
     token: str
     candidates: tuple[TokenCandidate, ...]
 
-    def chosen_logprob(self) -> float:
+    def __post_init__(self) -> None:
+        if not self.candidates:
+            raise ValidationError("empty candidate list")
+        mass = 0.0
         for cand in self.candidates:
-            if cand.token == self.token:
-                return cand.logprob
-        raise ValueError(
-            f"chosen token {self.token!r} not among its own candidates"
-        )
+            if not -math.inf < cand.logprob <= 0.0:  # NaN fails both
+                raise ValidationError(
+                    f"candidate {cand.token!r} has invalid logprob {cand.logprob}"
+                )
+            mass += math.exp(cand.logprob)
+        if mass > 1.0 + PROB_MASS_TOLERANCE:
+            raise ValidationError(f"candidate masses sum to {mass:.9f} > 1")
+        if all(cand.token != self.token for cand in self.candidates):
+            raise ValidationError(
+                f"chosen token {self.token!r} not among its own candidates"
+            )
+
+    def chosen_logprob(self) -> float:
+        return next(c.logprob for c in self.candidates if c.token == self.token)
 
 
 @dataclass(frozen=True)
@@ -95,33 +112,6 @@ class TokenLogprobs:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def validate(self) -> None:
-        """Enforce the distribution invariants on every position.
-
-        Each position must have a non-empty candidate list, candidate
-        logprobs <= 0, a total exponentiated mass <= 1 + tolerance, and the
-        chosen token present among the candidates.
-        """
-        for i, pos in enumerate(self.positions, start=1):
-            if not pos.candidates:
-                raise ValidationError(f"token position {i}: empty candidate list")
-            mass = 0.0
-            for cand in pos.candidates:
-                if not math.isfinite(cand.logprob) or cand.logprob > 0.0:
-                    raise ValidationError(
-                        f"token position {i}: candidate {cand.token!r} has "
-                        f"invalid logprob {cand.logprob}"
-                    )
-                mass += math.exp(cand.logprob)
-            if mass > 1.0 + PROB_MASS_TOLERANCE:
-                raise ValidationError(
-                    f"token position {i}: candidate masses sum to {mass:.9f} > 1"
-                )
-            try:
-                pos.chosen_logprob()
-            except ValueError as exc:
-                raise ValidationError(f"token position {i}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -309,7 +299,7 @@ def _parse_tokens(raw: object, line_no: int) -> TokenLogprobs:
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"script line {line_no}: 'tokens' must be a non-empty array")
     positions = []
-    for raw_pos in raw:
+    for i, raw_pos in enumerate(raw, start=1):
         if not isinstance(raw_pos, dict):
             raise ParseError(f"script line {line_no}: token entry must be an object")
         token = raw_pos.get("token")
@@ -330,13 +320,11 @@ def _parse_tokens(raw: object, line_no: int) -> TokenLogprobs:
                     f"script line {line_no}: candidate must be [token, logprob]"
                 )
             cands.append(TokenCandidate(token=raw_cand[0], logprob=float(raw_cand[1])))
-        positions.append(TokenPosition(token=token, candidates=tuple(cands)))
-    tokens = TokenLogprobs(positions=tuple(positions))
-    try:
-        tokens.validate()
-    except ValidationError as exc:
-        raise ParseError(f"script line {line_no}: {exc}") from exc
-    return tokens
+        try:
+            positions.append(TokenPosition(token=token, candidates=tuple(cands)))
+        except ValidationError as exc:
+            raise ParseError(f"script line {line_no}: token position {i}: {exc}") from exc
+    return TokenLogprobs(positions=tuple(positions))
 
 
 def _parse_entry(obj: dict, line_no: int) -> _ScriptEntry:

@@ -17,6 +17,7 @@ from urllib.request import HTTPErrorProcessor, Request, build_opener
 
 from .errors import BackendUnavailable, LogprobsUnsupported, ParseError, ValidationError
 from .gateway import (
+    PROB_MASS_TOLERANCE,
     EmbeddingVector,
     GenerationRequest,
     GenerationResult,
@@ -194,13 +195,18 @@ def _parse_chat_response(
             "backend returned no per-token logprobs; entropy cannot be computed"
         )
 
+    # Float noise can push a certain token's logprob slightly above 0; one
+    # above log(1 + tolerance) breaks the mass bound on its own.
+    noise = math.log1p(PROB_MASS_TOLERANCE)
     positions = []
-    for item in content:
+    for i, item in enumerate(content, start=1):
         item = _object(item, "logprobs content entry")
         token = item.get("token")
         if not isinstance(token, str):
             raise ParseError("logprobs content entry lacks token")
         chosen_lp = _number(item.get("logprob"), "logprobs content entry logprob")
+        if chosen_lp > noise:
+            raise ParseError(f"logprobs content entry logprob {chosen_lp!r} is above 0")
         raw_top = item.get("top_logprobs") or []
         if not isinstance(raw_top, list):
             raise ParseError("logprobs content entry's top_logprobs is not a list")
@@ -211,7 +217,8 @@ def _parse_chat_response(
             if not isinstance(ctok, str):
                 raise ParseError("top_logprobs entry lacks token")
             clp = _number(cand.get("logprob"), "top_logprobs entry logprob")
-            # Float noise can push a certain token's logprob slightly above 0.
+            if clp > noise:
+                raise ParseError(f"top_logprobs entry logprob {clp!r} is above 0")
             cands.append(TokenCandidate(token=ctok, logprob=min(clp, 0.0)))
         if not any(c.token == token for c in cands):
             # Guarantee the chosen token carries its own logprob; evict the
@@ -220,11 +227,12 @@ def _parse_chat_response(
                 cands.sort(key=lambda c: c.logprob, reverse=True)
                 cands = cands[: req.logprob_top_k - 1]
             cands.append(TokenCandidate(token=token, logprob=min(chosen_lp, 0.0)))
-        positions.append(TokenPosition(token=token, candidates=tuple(cands)))
+        try:
+            positions.append(TokenPosition(token=token, candidates=tuple(cands)))
+        except ValidationError as exc:
+            raise ParseError(
+                f"chat response logprobs violate invariants: token position {i}: {exc}"
+            ) from exc
 
     tokens = TokenLogprobs(positions=tuple(positions))
-    try:
-        tokens.validate()
-    except ValidationError as exc:
-        raise ParseError(f"chat response logprobs violate invariants: {exc}") from exc
     return GenerationResult(text=text, tokens=tokens, model_id=req.model_id or default_model)

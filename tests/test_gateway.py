@@ -8,6 +8,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -70,31 +71,34 @@ def test_generation_request_rejects_non_finite_temperature(temperature):
         GenerationRequest(prompt="x", temperature=temperature)
 
 
-def test_token_logprobs_validation_rejects_positive_logprob():
-    tokens = TokenLogprobs(positions=(
-        TokenPosition(token="a", candidates=(TokenCandidate("a", 0.5),)),
-    ))
-    with pytest.raises(ValidationError):
-        tokens.validate()
+@pytest.mark.parametrize("token, candidates, message", [
+    pytest.param("a", [("a", 0.5)], "candidate 'a' has invalid logprob 0.5", id="positive"),
+    pytest.param("a", [("a", -0.1), ("b", math.nan)],
+                 "candidate 'b' has invalid logprob nan", id="nan"),
+    pytest.param("a", [("a", math.inf)], "candidate 'a' has invalid logprob inf", id="inf"),
+    pytest.param("a", [("a", -0.1), ("b", -math.inf)],
+                 "candidate 'b' has invalid logprob -inf", id="minus-inf"),
+    pytest.param("a", [("a", math.log(0.8)), ("b", math.log(0.8))],
+                 "candidate masses sum to 1.600000000 > 1", id="excess-mass"),
+    pytest.param("a", [("b", -0.1)], "chosen token 'a' not among its own candidates",
+                 id="chosen-missing"),
+    pytest.param("a", [], "empty candidate list", id="no-candidates"),
+])
+def test_token_position_is_checked_when_built(token, candidates, message):
+    cands = tuple(TokenCandidate(t, lp) for t, lp in candidates)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        TokenPosition(token=token, candidates=cands)
 
 
-def test_token_logprobs_validation_rejects_excess_mass():
-    tokens = TokenLogprobs(positions=(
-        TokenPosition(token="a", candidates=(
-            TokenCandidate("a", math.log(0.8)),
-            TokenCandidate("b", math.log(0.8)),
-        )),
-    ))
-    with pytest.raises(ValidationError):
-        tokens.validate()
-
-
-def test_token_logprobs_requires_chosen_among_candidates():
-    tokens = TokenLogprobs(positions=(
-        TokenPosition(token="a", candidates=(TokenCandidate("b", -0.1),)),
-    ))
-    with pytest.raises(ValidationError):
-        tokens.validate()
+def test_script_names_the_faulty_token_position(tmp_path):
+    entry = fixtures.gen_entry("q", "ab", [
+        {"token": "a", "candidates": [["a", 0.0]]},
+        {"token": "b", "candidates": [["b", -0.1], ["c", 0.3]]},
+    ])
+    path = fixtures.write_script(tmp_path / "bad.jsonl", [entry])
+    with pytest.raises(ParseError, match=re.escape(
+            "script line 1: token position 2: candidate 'c' has invalid logprob 0.3")):
+        load_mock_script(path)
 
 
 def test_script_rejects_chosen_token_missing_from_candidates(tmp_path):
@@ -589,9 +593,9 @@ def test_http_embed_row_without_index_answers_its_position(fake_server):
     assert [v.values for v in gw.embed(["a", "b"])] == [(0.0, 1.0), (1.0, 1.0)]
 
 
-def _with_logprobs_content(item):
+def _with_logprobs_content(*items):
     payload = _chat_payload()
-    payload["choices"][0]["logprobs"]["content"] = [item]
+    payload["choices"][0]["logprobs"]["content"] = list(items)
     return payload
 
 
@@ -646,6 +650,25 @@ def test_http_non_object_json_is_parse_error(fake_server, call, payload):
         {"token": "Paris", "logprob": -0.01,
          "top_logprobs": [{"token": "Paris", "logprob": True}]}),
         "logprob True is not a finite number", id="bool-candidate-logprob"),
+    pytest.param("generate", _with_logprobs_content(
+        {"token": "Paris", "logprob": -0.01,
+         "top_logprobs": [{"token": "Paris", "logprob": 5.0}]}),
+        "top_logprobs entry logprob 5.0 is above 0", id="positive-candidate-logprob"),
+    pytest.param("generate", _with_logprobs_content(
+        {"token": "Paris", "logprob": -0.01,
+         "top_logprobs": [{"token": "Paris", "logprob": 7.0},
+                          {"token": "London", "logprob": -25.0}]}),
+        "top_logprobs entry logprob 7.0 is above 0", id="positive-beside-negative"),
+    pytest.param("generate", _with_logprobs_content(
+        {"token": "Paris", "logprob": 5.0, "top_logprobs": []}),
+        "logprobs content entry logprob 5.0 is above 0", id="positive-chosen-logprob"),
+    pytest.param("generate", _with_logprobs_content(
+        {"token": "Paris", "logprob": -0.01, "top_logprobs": []},
+        {"token": "Paris", "logprob": -0.2,
+         "top_logprobs": [{"token": "Paris", "logprob": math.log(0.8)},
+                          {"token": "Lyon", "logprob": math.log(0.8)}]}),
+        "^chat response logprobs violate invariants: token position 2: "
+        "candidate masses sum to 1.600000000 > 1$", id="second-position-excess-mass"),
     pytest.param("embed", {"data": [{"index": 0, "embedding": ["abc"]},
                                     {"index": 1, "embedding": [2.0]}]},
                  "value 'abc' is not a finite number", id="string-embedding-value"),
@@ -665,6 +688,16 @@ def test_http_malformed_reply_is_parse_error(fake_server, call, payload, message
             gw.generate(GenerationRequest(prompt="q"))
         else:
             gw.embed(["a", "b"])
+
+
+def test_http_logprob_float_noise_is_stored_as_zero(fake_server):
+    server, url = fake_server
+    server.responder = lambda path, body: (200, _with_logprobs_content(
+        {"token": "Paris", "logprob": 1e-9,
+         "top_logprobs": [{"token": "Paris", "logprob": 1e-9}]}))
+    gw = HttpGateway(url, model_id="m1", backoff=0.0)
+    result = gw.generate(GenerationRequest(prompt="q"))
+    assert result.tokens.positions[0].candidates == (TokenCandidate("Paris", 0.0),)
 
 
 def test_http_embed_row_count_mismatch(fake_server):

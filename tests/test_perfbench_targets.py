@@ -4,21 +4,25 @@
 instead of failing, and ``perfbench/loopback_server.py`` reports a request
 it cannot build as an HTTP 400 reply, so a rename inside ``kgconflict``
 would go unnoticed there. Both files are read as source, without importing
-the benchmark.
+the benchmark, except by the last gate, which runs the tracer itself.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import math
 import sys
 from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
+import pytest
+
 import fixtures
 
-from kgconflict import conflict, pipeline
+from kgconflict import config as config_mod, conflict, evaluation, pipeline
 from kgconflict.gateway import GenerationRequest, GenerationResult
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -158,3 +162,41 @@ def test_tracer_reads_what_resolve_returns(replay_config, replay_gateway):
     assert chains
     for chain, is_called in chains.items():
         assert callable(reduce(getattr, chain, out)) == is_called, chain
+
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+WORKLOADS = ("eval_backend_bound", "eval_hub_cpu", "eval_http_loopback")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_traced_layer_metric_is_a_finite_number(tmp_path, workload):
+    """A traced run reports a null metric for a layer function it never saw
+    and writes a NaN or inf as bare ``NaN``/``Infinity``, neither of which
+    the benchmark's last line may hold. Trace a short eval run of each
+    workload's seed-1 inputs, the HTTP one answered by its mock script, the
+    way ``perfbench/run.py --trace 1`` does, and check every per-layer value.
+    The program is called through its modules, where the tracer wraps it."""
+    gen, config = fixtures.generate_workload(workload, 1, tmp_path)
+    from proxy import ProxyGateway
+    from tracer import LayerMetrics, Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cfg = config_mod.parse_config(config)
+        records = evaluation.load_dataset(gen.dataset)[:10]
+        gateway = pipeline.build_gateway(cfg)
+        result = evaluation.run_eval(records, cfg, ProxyGateway(gateway, 0.0, tracer))
+        evaluation.write_results_csv(result, tmp_path / "results.csv")
+        evaluation.write_summary_json(result, tmp_path / "summary.json")
+    finally:
+        tracer.uninstall()
+    assert result.skipped == []
+    computed = LayerMetrics(tracer, len(records)).compute(0.0)
+    per_layer = json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+    got = {spec["name"]: computed.get(spec["name"], (None, "not computed"))
+           for spec in per_layer}
+    bad = {name: (value, reason) for name, (value, reason) in got.items()
+           if not (isinstance(value, float) and math.isfinite(value))}
+    assert bad == {}
+    json.dumps({name: value for name, (value, _) in got.items()}, allow_nan=False)
