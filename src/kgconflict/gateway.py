@@ -88,14 +88,17 @@ class TokenPosition:
             raise ValidationError("empty candidate list")
         mass = 0.0
         for cand in self.candidates:
-            if not -math.inf < cand.logprob <= 0.0:  # NaN fails both
+            if not math.isfinite(cand.logprob) or cand.logprob > 0.0:
                 raise ValidationError(
                     f"candidate {cand.token!r} has invalid logprob {cand.logprob}"
                 )
             mass += math.exp(cand.logprob)
         if mass > 1.0 + PROB_MASS_TOLERANCE:
             raise ValidationError(f"candidate masses sum to {mass:.9f} > 1")
-        if all(cand.token != self.token for cand in self.candidates):
+        for cand in self.candidates:
+            if cand.token == self.token:
+                break
+        else:
             raise ValidationError(
                 f"chosen token {self.token!r} not among its own candidates"
             )
