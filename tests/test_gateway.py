@@ -36,7 +36,6 @@ from kgconflict import (
     PipelineError,
     ScriptMiss,
     TokenCandidate,
-    TokenLogprobs,
     TokenPosition,
     ValidationError,
     cosine,
