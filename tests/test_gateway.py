@@ -363,7 +363,10 @@ def _serving():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     server.seen = []
     server.responder = lambda path, body: (200, {})
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval; the 0.5 s default made each
+    # teardown sleep.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield server, f"http://127.0.0.1:{server.server_address[1]}/v1"

@@ -8,7 +8,10 @@ without timings and the p = 1 request list (each prompt and embed input, in
 call order) must equal ``tests/golden/workloads.json``; at p = 3 the outputs
 are the same and the requests are the same multiset. In every run, each trace
 line decodes back to a trace from which ``record_result`` rebuilds its row,
-wall time included.
+wall time included. The HTTP workload's records also run through
+``HttpGateway`` against ``perfbench/loopback_server.py`` serving the same
+script on a thread, so the client's transport and reply parsing must give the
+same bytes as the in-process mock.
 
 A change meant to alter outputs rewrites the golden file with
 ``PYTHONPATH=src python tests/test_workload_goldens.py`` and names each
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -28,6 +32,8 @@ import pytest
 import fixtures
 
 from kgconflict import (
+    GenerationRequest,
+    HttpGateway,
     QueryTrace,
     load_dataset,
     load_mock_script,
@@ -109,6 +115,39 @@ def test_workload_outputs_match_golden_at_every_parallelism(
     assert {k: v for k, v in parallel.items() if k != "requests"} == {
         k: v for k, v in golden.items() if k != "requests"}
     assert Counter(parallel_calls) == Counter(serial_calls)
+
+
+@pytest.fixture(scope="module")
+def http_inputs(workload_inputs):
+    """The HTTP workload's inputs, answered by ``HttpGateway`` through the
+    benchmark's loopback server, which serves the workload's script."""
+    config, records, script_gateway = workload_inputs("eval_http_loopback")
+    import loopback_server  # perfbench/ is on sys.path once a workload is generated
+
+    server = loopback_server.make_server(script_gateway, GenerationRequest)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+        yield config, records, HttpGateway(url, "bench-model", max_attempts=1)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_http_client_outputs_match_golden(http_inputs, tmp_path, mode):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"eval_http_loopback/{mode}"]
+    serial, serial_calls = _run(http_inputs, mode, 1, tmp_path / "p1")
+    assert serial == golden
+    if mode == "full":
+        parallel, parallel_calls = _run(http_inputs, mode, 3, tmp_path / "p3")
+        assert {k: v for k, v in parallel.items() if k != "requests"} == {
+            k: v for k, v in golden.items() if k != "requests"}
+        assert Counter(parallel_calls) == Counter(serial_calls)
 
 
 def main() -> None:
