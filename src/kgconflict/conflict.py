@@ -11,11 +11,10 @@ final context onto it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Sequence, TypeVar
-
-import numpy as np
 
 from .config import FALLBACK_NONE, FALLBACK_RAW_CONTEXT, FALLBACK_TOP_DELTA, PipelineConfig
 from .errors import EmptySequence, FallbackExhausted, ValidationError
@@ -55,23 +54,26 @@ class EntropyReport:
         return [p.index for p in self.per_path if p.corrective]
 
 
+def _entropy_bits(logprobs: tuple[float, ...]) -> float:
+    """Shannon entropy (bits) of one position's renormalized candidates."""
+    top = max(logprobs)
+    weights = [math.exp(lp - top) for lp in logprobs]
+    total = math.fsum(weights)
+    return -math.fsum(p * math.log2(p) for p in (w / total for w in weights) if p > 0.0)
+
+
 def mean_token_entropy(tokens: TokenLogprobs) -> float:
     """Mean Shannon entropy (bits) over per-position candidate distributions.
 
     Candidate probabilities are renormalized over the returned top-k set at
     each position before the entropy sum, so the value is well defined and
-    bounded by log2 of the candidate count. 0 * log 0 counts as 0.
+    bounded by log2 of the candidate count. 0 * log 0 counts as 0. Every sum
+    is a correctly rounded ``math.fsum``, so the value does not depend on the
+    order of the positions or of their candidates.
     """
     if len(tokens) == 0:
         raise EmptySequence("mean_token_entropy: no token positions")
-    per_position = []
-    for pos in tokens.positions:
-        logprobs = np.array([c.logprob for c in pos.candidates], dtype=np.float64)
-        weights = np.exp(logprobs - logprobs.max())
-        probs = weights / weights.sum()
-        nonzero = probs > 0.0
-        per_position.append(-float(np.sum(probs[nonzero] * np.log2(probs[nonzero]))))
-    return float(np.mean(per_position))
+    return math.fsum(_entropy_bits(pos.logprobs) for pos in tokens.positions) / len(tokens)
 
 
 def _generate(

@@ -15,6 +15,7 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
 
@@ -71,40 +72,67 @@ class TokenCandidate:
     logprob: float  # natural log of the token probability, <= 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TokenPosition:
-    """One generated position: the chosen token and its top-k candidates.
+    """One generated position: the chosen token and its top-k candidates, held
+    as two columns, the candidate ``tokens`` and their natural-log ``logprobs``.
 
-    Checked when built, so every position is a distribution: a non-empty
-    candidate list, each logprob finite and <= 0, a total exponentiated
-    mass <= 1 + tolerance, and the chosen token among the candidates.
+    Built from the columns, ``TokenPosition(token, tokens, logprobs)``, or
+    from candidate pairs, ``TokenPosition(token=..., candidates=...)``; both
+    give equal positions. Checked when built, so every position is a
+    distribution: a non-empty candidate list, as many logprobs as tokens,
+    each logprob finite and <= 0, a total exponentiated mass <= 1 +
+    tolerance, and the chosen token among the candidates.
     """
 
     token: str
-    candidates: tuple[TokenCandidate, ...]
+    tokens: tuple[str, ...]
+    logprobs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not self.candidates:
+    def __init__(
+        self,
+        token: str,
+        tokens: tuple[str, ...] = (),
+        logprobs: tuple[float, ...] = (),
+        *,
+        candidates: Sequence[TokenCandidate] | None = None,
+    ) -> None:
+        if candidates is not None:
+            if tokens or logprobs:
+                raise ValidationError("give candidates or the columns, not both")
+            tokens = tuple(c.token for c in candidates)
+            logprobs = tuple(c.logprob for c in candidates)
+        if not tokens:
             raise ValidationError("empty candidate list")
+        if len(tokens) != len(logprobs):
+            raise ValidationError(
+                f"{len(tokens)} candidate tokens but {len(logprobs)} logprobs"
+            )
         mass = 0.0
-        for cand in self.candidates:
-            if not math.isfinite(cand.logprob) or cand.logprob > 0.0:
+        for cand_token, logprob in zip(tokens, logprobs):
+            if not -math.inf < logprob <= 0.0:  # false for NaN and both infinities
                 raise ValidationError(
-                    f"candidate {cand.token!r} has invalid logprob {cand.logprob}"
+                    f"candidate {cand_token!r} has invalid logprob {logprob}"
                 )
-            mass += math.exp(cand.logprob)
+            mass += math.exp(logprob)
         if mass > 1.0 + PROB_MASS_TOLERANCE:
             raise ValidationError(f"candidate masses sum to {mass:.9f} > 1")
-        for cand in self.candidates:
-            if cand.token == self.token:
-                break
-        else:
+        if token not in tokens:
             raise ValidationError(
-                f"chosen token {self.token!r} not among its own candidates"
+                f"chosen token {token!r} not among its own candidates"
             )
+        object.__setattr__(self, "token", token)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "logprobs", logprobs)
+
+    @cached_property
+    def candidates(self) -> tuple[TokenCandidate, ...]:
+        """The columns as (token, logprob) pairs, built on first use."""
+        return tuple(map(TokenCandidate, self.tokens, self.logprobs))
 
     def chosen_logprob(self) -> float:
-        return next(c.logprob for c in self.candidates if c.token == self.token)
+        """The logprob of the first candidate equal to the chosen token."""
+        return self.logprobs[self.tokens.index(self.token)]
 
 
 @dataclass(frozen=True)
@@ -311,7 +339,7 @@ def _parse_tokens(raw: object, line_no: int) -> TokenLogprobs:
             raise ParseError(
                 f"script line {line_no}: token entry needs 'token' and non-empty 'candidates'"
             )
-        cands = []
+        tokens, logprobs = [], []
         for raw_cand in raw_cands:
             if (
                 not isinstance(raw_cand, (list, tuple))
@@ -322,9 +350,10 @@ def _parse_tokens(raw: object, line_no: int) -> TokenLogprobs:
                 raise ParseError(
                     f"script line {line_no}: candidate must be [token, logprob]"
                 )
-            cands.append(TokenCandidate(token=raw_cand[0], logprob=float(raw_cand[1])))
+            tokens.append(raw_cand[0])
+            logprobs.append(float(raw_cand[1]))
         try:
-            positions.append(TokenPosition(token=token, candidates=tuple(cands)))
+            positions.append(TokenPosition(token, tuple(tokens), tuple(logprobs)))
         except ValidationError as exc:
             raise ParseError(f"script line {line_no}: token position {i}: {exc}") from exc
     return TokenLogprobs(positions=tuple(positions))

@@ -21,7 +21,6 @@ from .gateway import (
     EmbeddingVector,
     GenerationRequest,
     GenerationResult,
-    TokenCandidate,
     TokenLogprobs,
     TokenPosition,
     _check_texts,
@@ -210,7 +209,7 @@ def _parse_chat_response(
         raw_top = item.get("top_logprobs") or []
         if not isinstance(raw_top, list):
             raise ParseError("logprobs content entry's top_logprobs is not a list")
-        cands = []
+        cand_tokens, cand_logprobs = [], []
         for cand in raw_top:
             cand = _object(cand, "top_logprobs entry")
             ctok = cand.get("token")
@@ -219,20 +218,25 @@ def _parse_chat_response(
             clp = _number(cand.get("logprob"), "top_logprobs entry logprob")
             if clp > noise:
                 raise ParseError(f"top_logprobs entry logprob {clp!r} is above 0")
-            cands.append(TokenCandidate(token=ctok, logprob=min(clp, 0.0)))
-        if not any(c.token == token for c in cands):
+            cand_tokens.append(ctok)
+            cand_logprobs.append(min(clp, 0.0))  # keeps the sign of -0.0
+        if token not in cand_tokens:
             # Guarantee the chosen token carries its own logprob; evict the
-            # weakest candidate rather than exceed the top-k length bound.
-            if len(cands) >= req.logprob_top_k:
-                cands.sort(key=lambda c: c.logprob, reverse=True)
-                cands = cands[: req.logprob_top_k - 1]
-            cands.append(TokenCandidate(token=token, logprob=min(chosen_lp, 0.0)))
+            # weakest candidates (a stable sort keeps the first of equals)
+            # rather than exceed the top-k length bound.
+            if len(cand_tokens) >= req.logprob_top_k:
+                kept = sorted(range(len(cand_tokens)), key=cand_logprobs.__getitem__,
+                              reverse=True)[: req.logprob_top_k - 1]
+                cand_tokens = [cand_tokens[j] for j in kept]
+                cand_logprobs = [cand_logprobs[j] for j in kept]
+            cand_tokens.append(token)
+            cand_logprobs.append(min(chosen_lp, 0.0))
         try:
-            positions.append(TokenPosition(token=token, candidates=tuple(cands)))
+            positions.append(TokenPosition(token, tuple(cand_tokens), tuple(cand_logprobs)))
         except ValidationError as exc:
             raise ParseError(
                 f"chat response logprobs violate invariants: token position {i}: {exc}"
             ) from exc
 
-    tokens = TokenLogprobs(positions=tuple(positions))
-    return GenerationResult(text=text, tokens=tokens, model_id=req.model_id or default_model)
+    return GenerationResult(text=text, tokens=TokenLogprobs(positions=tuple(positions)),
+                            model_id=req.model_id or default_model)

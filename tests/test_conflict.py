@@ -55,6 +55,20 @@ def entropy_oracle_bits(position_logprobs: list[list[float]]) -> float:
     return math.fsum(per_position) / len(per_position)
 
 
+def entropy_numpy_reference(position_logprobs: list[list[float]]) -> float:
+    """The numpy formulation the ``math`` sums replaced. Its bits follow the
+    CPU's SIMD ``exp``/``log2`` and numpy's pairwise sums, so it agrees with
+    ``mean_token_entropy`` only to within rounding."""
+    per_position = []
+    for lps in position_logprobs:
+        logprobs = np.array(lps, dtype=np.float64)
+        weights = np.exp(logprobs - logprobs.max())
+        probs = weights / weights.sum()
+        nonzero = probs > 0.0
+        per_position.append(-float(np.sum(probs[nonzero] * np.log2(probs[nonzero]))))
+    return float(np.mean(per_position))
+
+
 def _gw(tmp_path, entries):
     return load_mock_script(fixtures.write_script(tmp_path / "s.jsonl", entries))
 
@@ -66,6 +80,12 @@ def _trace(paths=()) -> QueryTrace:
 
 # ---------------------------------------------------------------------------
 # mean_token_entropy
+
+
+@pytest.mark.parametrize("k, bits", [(1, 0.0), (2, 1.0), (4, 2.0)])
+def test_uniform_distribution_entropy_is_exact(k, bits):
+    lp = math.log(1.0 / k)
+    assert mean_token_entropy(_tokens([[lp] * k] * 3)) == bits
 
 
 def test_uniform_over_four_is_two_bits():
@@ -136,12 +156,19 @@ def test_entropy_permutation_and_repetition_invariance(data, seed):
     base = mean_token_entropy(_tokens(positions))
     rng = np.random.default_rng(seed)
     order = list(rng.permutation(len(positions)))
+    # The sums are correctly rounded, so reordering positions or candidates
+    # leaves every bit alone.
     permuted = mean_token_entropy(_tokens([positions[i] for i in order]))
-    assert permuted == pytest.approx(base, abs=1e-12)
+    assert permuted == base
+    reversed_candidates = mean_token_entropy(_tokens([lps[::-1] for lps in positions]))
+    assert reversed_candidates == base
     doubled = mean_token_entropy(_tokens(positions + positions))
     assert doubled == pytest.approx(base, abs=1e-12)
     max_k = max(len(w) for w in data)
     assert 0.0 <= base <= math.log2(max_k) + 1e-12
+    for lps in positions:
+        assert 0.0 <= mean_token_entropy(_tokens([lps])) <= math.log2(len(lps)) + 1e-12
+    assert base == pytest.approx(entropy_numpy_reference(positions), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -87,6 +88,35 @@ def test_token_position_is_checked_when_built(token, candidates, message):
     cands = tuple(TokenCandidate(t, lp) for t, lp in candidates)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         TokenPosition(token=token, candidates=cands)
+
+
+def test_token_position_columns_equal_candidates_and_round_trip():
+    columns = TokenPosition("a", ("a", "b"), (-0.1, -2.5))
+    paired = TokenPosition(token="a", candidates=(TokenCandidate("a", -0.1),
+                                                   TokenCandidate("b", -2.5)))
+    assert paired == columns
+    assert hash(paired) == hash(columns)
+    assert columns.candidates == (TokenCandidate("a", -0.1), TokenCandidate("b", -2.5))
+    assert TokenPosition(token="a", candidates=columns.candidates) == columns
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        columns.candidates = ()
+
+
+@pytest.mark.parametrize("tokens, logprobs, candidates, message", [
+    pytest.param(("a", "b"), (-0.1,), None, "2 candidate tokens but 1 logprobs",
+                 id="short-logprobs"),
+    pytest.param(("a",), (-0.1, -2.5), None, "1 candidate tokens but 2 logprobs",
+                 id="short-tokens"),
+    pytest.param(("a",), (-0.1,), (TokenCandidate("a", -0.1),),
+                 "give candidates or the columns, not both", id="both-forms"),
+])
+def test_token_position_columns_must_agree(tokens, logprobs, candidates, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        TokenPosition("a", tokens, logprobs, candidates=candidates)
+
+
+def test_chosen_logprob_of_a_repeated_token_is_its_first():
+    assert TokenPosition("a", ("b", "a", "a"), (-1.0, -2.0, -3.0)).chosen_logprob() == -2.0
 
 
 def test_script_names_the_faulty_token_position(tmp_path):
@@ -700,6 +730,33 @@ def test_http_logprob_float_noise_is_stored_as_zero(fake_server):
     gw = HttpGateway(url, model_id="m1", backoff=0.0)
     result = gw.generate(GenerationRequest(prompt="q"))
     assert result.tokens.positions[0].candidates == (TokenCandidate("Paris", 0.0),)
+
+
+@pytest.mark.parametrize("logprob, sign", [
+    pytest.param(-0.0, -1.0, id="minus-zero-kept"),
+    pytest.param(0.0, 1.0, id="zero"),
+    pytest.param(1e-9, 1.0, id="noise-to-zero"),
+])
+def test_http_logprob_sign_of_zero(fake_server, logprob, sign):
+    server, url = fake_server
+    server.responder = lambda path, body: (200, _with_logprobs_content(
+        {"token": "Paris", "logprob": logprob,
+         "top_logprobs": [{"token": "Paris", "logprob": logprob}]}))
+    gw = HttpGateway(url, model_id="m1", backoff=0.0)
+    (stored,) = gw.generate(GenerationRequest(prompt="q")).tokens.positions[0].logprobs
+    assert stored == 0.0
+    assert math.copysign(1.0, stored) == sign
+
+
+def test_http_eviction_keeps_the_first_of_tied_candidates():
+    top = [{"token": "t0", "logprob": -3.0}, {"token": "t1", "logprob": -4.0},
+           {"token": "t2", "logprob": -3.0}, {"token": "t3", "logprob": -2.5},
+           {"token": "t4", "logprob": -3.0}]
+    body = _with_logprobs_content({"token": "Paris", "logprob": -0.3, "top_logprobs": top})
+    result = _parse_chat_response(body, GenerationRequest(prompt="q", logprob_top_k=4), "m1")
+    pos = result.tokens.positions[0]
+    assert pos.tokens == ("t3", "t0", "t2", "Paris")
+    assert pos.logprobs == (-2.5, -3.0, -3.0, -0.3)
 
 
 def test_http_embed_row_count_mismatch(fake_server):
