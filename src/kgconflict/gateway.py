@@ -74,29 +74,23 @@ class TokenCandidate:
 
 @dataclass(frozen=True, init=False)
 class TokenPosition:
-    """One generated position: the chosen token and its top-k candidates, held
-    as two columns, the candidate ``tokens`` and their natural-log ``logprobs``.
+    """One generated position: the chosen token and its top-k candidates as two
+    columns, the candidate ``tokens`` and their natural-log ``logprobs``.
 
-    Built from the columns, ``TokenPosition(token, tokens, logprobs)``, or
-    from candidate pairs, ``TokenPosition(token=..., candidates=...)``; both
-    give equal positions. Checked when built, so every position is a
-    distribution: a non-empty candidate list, as many logprobs as tokens,
-    each logprob finite and <= 0, a total exponentiated mass <= 1 +
-    tolerance, and the chosen token among the candidates.
+    Built from the columns or, equally, from ``candidates=`` pairs. Checked
+    when built, so every position is a distribution: a non-empty candidate
+    list, as many logprobs as tokens, each logprob finite and <= 0, a total
+    exponentiated mass <= 1 + tolerance, and the chosen token among the
+    candidates.
     """
 
     token: str
     tokens: tuple[str, ...]
     logprobs: tuple[float, ...]
 
-    def __init__(
-        self,
-        token: str,
-        tokens: tuple[str, ...] = (),
-        logprobs: tuple[float, ...] = (),
-        *,
-        candidates: Sequence[TokenCandidate] | None = None,
-    ) -> None:
+    def __init__(self, token: str, tokens: tuple[str, ...] = (),
+                 logprobs: tuple[float, ...] = (), *,
+                 candidates: Sequence[TokenCandidate] | None = None) -> None:
         if candidates is not None:
             if tokens or logprobs:
                 raise ValidationError("give candidates or the columns, not both")

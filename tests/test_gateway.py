@@ -393,8 +393,8 @@ def _serving():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     server.seen = []
     server.responder = lambda path, body: (200, {})
-    # shutdown() waits up to one poll interval; the 0.5 s default made each
-    # teardown sleep.
+    # shutdown() waits for the loop's next poll, so a short interval keeps
+    # each teardown quick.
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
                               daemon=True)
     thread.start()

@@ -110,8 +110,13 @@ def test_workload_outputs_match_golden_at_every_parallelism(
 ):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"{workload}/{mode}"]
     serial, serial_calls = _run(workload_inputs(workload), mode, 1, tmp_path / "p1")
-    parallel, parallel_calls = _run(workload_inputs(workload), mode, 3, tmp_path / "p3")
     assert serial == golden
+    _assert_p3_matches(workload_inputs(workload), mode, golden, serial_calls, tmp_path)
+
+
+def _assert_p3_matches(inputs, mode: str, golden: dict, serial_calls: list, tmp_path):
+    """At p = 3 the outputs equal the golden and the requests are the p = 1 ones."""
+    parallel, parallel_calls = _run(inputs, mode, 3, tmp_path / "p3")
     assert {k: v for k, v in parallel.items() if k != "requests"} == {
         k: v for k, v in golden.items() if k != "requests"}
     assert Counter(parallel_calls) == Counter(serial_calls)
@@ -144,10 +149,7 @@ def test_http_client_outputs_match_golden(http_inputs, tmp_path, mode):
     serial, serial_calls = _run(http_inputs, mode, 1, tmp_path / "p1")
     assert serial == golden
     if mode == "full":
-        parallel, parallel_calls = _run(http_inputs, mode, 3, tmp_path / "p3")
-        assert {k: v for k, v in parallel.items() if k != "requests"} == {
-            k: v for k, v in golden.items() if k != "requests"}
-        assert Counter(parallel_calls) == Counter(serial_calls)
+        _assert_p3_matches(http_inputs, mode, golden, serial_calls, tmp_path)
 
 
 def main() -> None:
