@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DanglingReference, EmptyInput, SchemaVersionMismatch, ValidationError
+from .errors import (
+    DanglingReference,
+    EmptyInput,
+    ParseError,
+    SchemaVersionMismatch,
+    ValidationError,
+)
 from .gateway import ModelGateway, ask
 from .graph import KnowledgeGraph, _strip_code_fences
 from .jsonio import decode, read_json_object
@@ -133,30 +139,32 @@ def load_paths(path: str | Path) -> tuple[str | None, list[ReasoningPath]]:
     )
 
 
-def _normed(v: np.ndarray) -> tuple[np.ndarray, float]:
-    return v, float(np.linalg.norm(v))
+def _max_cosines(rows: np.ndarray, keys: list[int], texts: list[str]) -> np.ndarray:
+    """Each row's max cosine against the rows at ``keys``, clamped to [-1, 1].
 
-
-def _max_cosine(
-    vec: tuple[np.ndarray, float], key_vectors: list[tuple[np.ndarray, float]]
-) -> float:
-    """Max ``cosine`` of a ``_normed`` vector against ``_normed`` key vectors.
-
-    Norms come precomputed, so ranking n candidates against m keys takes
-    n + m norms, not 2nm. One ``np.dot`` per pair, not a matrix product:
-    BLAS matrix kernels sum in another order and change the last bit.
+    A zero vector scores 0. Products are exact and numpy's pairwise ``sum``
+    adds them in an order fixed in C, so no BLAS kernel the CPU selects
+    moves the last bit. Norms are taken once, and the loop runs over the
+    keys, not a rows x keys x dim tensor. A norm that overflows (components
+    past about 1e154) raises ParseError naming the row's text.
     """
-    u, nu = vec
-    return max(
-        0.0 if nu == 0.0 or nk == 0.0
-        else min(max(float(np.dot(u, k)) / (nu * nk), -1.0), 1.0)
-        for k, nk in key_vectors
-    )
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((rows * rows).sum(-1))
+    finite = np.isfinite(norms)
+    if not finite.all():
+        raise ParseError(f"embedding of {texts[finite.argmin()]!r} has a non-finite norm")
+    best = np.full(len(rows), -1.0)  # so the max also clamps from below
+    for j in keys:
+        denom = norms * norms[j]
+        cos = np.divide((rows * rows[j]).sum(-1), denom, out=np.zeros(len(rows)),
+                        where=denom != 0.0)
+        np.maximum(best, np.minimum(cos, 1.0, out=cos), out=best)
+    return best
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity clamped to [-1, 1]; zero vectors compare as 0."""
-    return _max_cosine(_normed(u), [_normed(v)])
+    return float(_max_cosines(np.array([u, v], dtype=np.float64), [1], ["u", "v"])[0])
 
 
 def extract_key_elements(
@@ -197,26 +205,12 @@ def extract_key_elements(
 
 def _embed_distinct(
     texts: list[str], gateway: ModelGateway
-) -> dict[str, tuple[np.ndarray, float]]:
-    """Distinct texts' ``_normed`` vectors, embedded in one call in first-seen order."""
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Distinct texts' vectors as matrix rows, embedded in one call in
+    first-seen order, and each text's row."""
     unique = list(dict.fromkeys(texts))
-    return {
-        text: _normed(np.asarray(vec.values, dtype=np.float64))
-        for text, vec in zip(unique, gateway.embed(unique))
-    }
-
-
-def _rank(
-    named: list[tuple[str, str]],  # (id, display text)
-    key_vectors: list[tuple[np.ndarray, float]],
-    vectors: dict[str, tuple[np.ndarray, float]],
-    k: int,
-) -> tuple[tuple[str, float], ...]:
-    scored = [
-        (item_id, _max_cosine(vectors[text], key_vectors)) for item_id, text in named
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return tuple(scored[:k])
+    rows = np.array([vec.values for vec in gateway.embed(unique)], dtype=np.float64)
+    return rows, {text: i for i, text in enumerate(unique)}
 
 
 def top_k_important(
@@ -237,12 +231,15 @@ def top_k_important(
         return ImportantSets(entities=(), relations=())
     keys = key.key_strings()
     texts = [text for _, text in entity_named + relation_named] + keys
-    vectors = _embed_distinct(texts, gateway)
-    key_vectors = [vectors[k] for k in keys]
-    return ImportantSets(
-        entities=_rank(entity_named, key_vectors, vectors, cfg.k_similar),
-        relations=_rank(relation_named, key_vectors, vectors, cfg.k_similar),
-    )
+    rows, row_of = _embed_distinct(texts, gateway)
+    best = _max_cosines(rows, [row_of[k] for k in keys], list(row_of)).tolist()
+
+    def top(named: list[tuple[str, str]]) -> tuple[tuple[str, float], ...]:
+        scored = [(item_id, best[row_of[text]]) for item_id, text in named]
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        return tuple(scored[: cfg.k_similar])
+
+    return ImportantSets(entities=top(entity_named), relations=top(relation_named))
 
 
 def enumerate_paths(

@@ -528,6 +528,31 @@ def test_build_graph_backend_parse_error_exits_two(replay_cli_files, monkeypatch
     assert "backend error" in capsys.readouterr().err
 
 
+def test_embedding_with_a_norm_past_float64_exits_two(replay_cli_files, tmp_path):
+    """A finite vector whose squared norm overflows is a malformed reply: the
+    run exits 2 naming its text, and no artifact holds a NaN score."""
+    script = fixtures.write_script(tmp_path / "huge.jsonl", [
+        *fixtures.replay_script_entries(),
+        fixtures.embed_entry("SINALOA", [1e200, 1e200]),
+        fixtures.embed_entry(".*", [1.0, 0.5], regex=True),
+    ])
+    graph_out = tmp_path / "graph.json"
+    assert _build_replay_graph({**replay_cli_files, "script": str(script)}, graph_out) == 0
+    mock = ["--mock-script", str(script)]
+    for argv in (
+        ["retrieve-paths", *mock, "--graph", str(graph_out),
+         "--question", fixtures.REPLAY_QUESTION, "--out", str(tmp_path / "paths.json")],
+        ["eval", *mock, "--dataset", replay_cli_files["dataset"], "--trace",
+         "--out", str(tmp_path / "run")],
+    ):
+        code, err = _run(argv)
+        assert code == 2, err
+        assert "backend error" in err and "'SINALOA'" in err
+    written = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert graph_out in written
+    assert not any(b"NaN" in p.read_bytes() for p in written)
+
+
 def test_retrieve_paths_on_empty_graph_makes_no_model_call(tmp_path):
     graph_out = tmp_path / "empty_graph.json"
     save_graph(build_graph([]), graph_out)

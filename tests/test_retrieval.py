@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +14,12 @@ from hypothesis import strategies as st
 
 import fixtures
 
+import kgconflict
 from kgconflict import (
     DanglingReference,
     EmptyInput,
     ImportantSets,
+    ParseError,
     PipelineConfig,
     QueryKeyElements,
     ReasoningPath,
@@ -28,7 +33,7 @@ from kgconflict import (
     select_super_paths,
     top_k_important,
 )
-from kgconflict.retrieval import PathEdge, _max_cosine, _normed, cosine
+from kgconflict.retrieval import PathEdge, _max_cosines, cosine
 
 CFG = PipelineConfig()
 
@@ -146,17 +151,19 @@ def test_similarity_is_max_over_key_strings(tmp_path):
     assert score == pytest.approx(0.6, abs=1e-9)
 
 
-def _per_pair_cosine(u, v):
-    """Reference scorer: both norms per call and a numpy clamp."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+def _fsum_cosine(u, v):
+    """Oracle: the same products, each sum correctly rounded by ``math.fsum``."""
+    nu = math.sqrt(math.fsum(u * u))
+    nv = math.sqrt(math.fsum(v * v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    return float(np.clip(float(np.dot(u, v)) / (nu * nv), -1.0, 1.0))
+    return min(max(math.fsum(u * v) / (nu * nv), -1.0), 1.0)
 
 
 @pytest.mark.parametrize("dim, unit", [(64, True), (384, False)])
-def test_norm_once_scorer_equals_per_pair_cosine(dim, unit):
+def test_ranking_cosine_is_one_formula_near_an_fsum_oracle(dim, unit):
+    """The ranking scores with ``cosine``'s bits, within 4 eps of an exact-sum
+    oracle; the clamp gives exactly +-1 and a zero vector exactly 0."""
     rng = np.random.default_rng(dim)
     vectors = rng.standard_normal((40, dim)) * (1.0 if unit else 7.3)
     if unit:
@@ -164,17 +171,73 @@ def test_norm_once_scorer_equals_per_pair_cosine(dim, unit):
     keys = [*vectors[30:], np.zeros(dim)]
     # Parallel and anti-parallel pairs, whose raw quotient can leave [-1, 1]
     # by an ulp so that the clamp applies, and a zero vector.
-    parallel = [(s * k, k) for k in vectors[30:] for s in (3.0, -0.5)]
-    assert any(
-        abs(float(np.dot(c, k)) / (np.linalg.norm(c) * np.linalg.norm(k))) > 1.0
-        for c, k in parallel
-    )
-    candidates = [*vectors[:30], *(c for c, _ in parallel), np.zeros(dim)]
-    normed_keys = [_normed(k) for k in keys]
-    for candidate in candidates:
-        expected = [_per_pair_cosine(candidate, k) for k in keys]
-        assert [cosine(candidate, k) for k in keys] == expected
-        assert _max_cosine(_normed(candidate), normed_keys) == max(expected)
+    parallel = [(s * k, k, s) for k in vectors[30:] for s in (3.0, -0.5)]
+    candidates = [*vectors[:30], *(c for c, _, _ in parallel), np.zeros(dim)]
+    rows = np.array([*candidates, *keys])
+    names = [str(i) for i in range(len(rows))]
+    key_rows = list(range(len(candidates), len(rows)))
+    per_key = [_max_cosines(rows, [j], names) for j in key_rows]
+    best = _max_cosines(rows, key_rows, names)
+    eps = np.finfo(np.float64).eps
+    for i, candidate in enumerate(candidates):
+        scores = [cosine(candidate, k) for k in keys]
+        assert [scored[i] for scored in per_key] == scores
+        assert best[i] == max(scores)
+        for k, score in zip(keys, scores):
+            assert abs(score - _fsum_cosine(candidate, k)) <= 4 * eps
+    clamped = 0
+    for c, k, s in parallel:
+        raw = (c * k).sum() / (np.sqrt((c * c).sum()) * np.sqrt((k * k).sum()))
+        if abs(raw) > 1.0:
+            clamped += 1
+            assert cosine(c, k) == math.copysign(1.0, s)
+    assert clamped
+    zero = np.zeros(dim)
+    assert all(cosine(zero, k) == 0.0 and cosine(k, zero) == 0.0 for k in keys)
+
+
+def test_cosine_rejects_a_norm_past_float64():
+    """Components past about 1e154 overflow the squared norm: ParseError, not
+    a NaN score or an overflow warning."""
+    huge, unit = np.array([1e200, 1e200]), np.array([1.0, 0.0])
+    for u, v in ((huge, unit), (unit, huge)):
+        with pytest.raises(ParseError, match="non-finite norm"):
+            cosine(u, v)
+
+
+def test_ranking_rejects_a_norm_past_float64_naming_its_text(tmp_path):
+    gw = _gw(tmp_path, [fixtures.embed_entry("alpha", [1e200, 1e200]), _OTHER_NAMES])
+    with pytest.raises(ParseError, match="'alpha'"):
+        _entity_scores(gw, "alpha", ("beta",))
+
+
+# Calls that reach a BLAS kernel, whose summation order the CPU selects.
+_BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+
+
+def _blas_uses(tree: ast.AST):
+    """(line, what) for each dot-like call, ``@`` and ``linalg`` name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in _BLAS_CALLS:
+                yield node.lineno, name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        if any("linalg" in str(getattr(node, f, "")) for f in ("attr", "id", "name", "module")):
+            yield node.lineno, "linalg"
+
+
+def test_no_blas_kernel_in_the_package():
+    """Scores sum in numpy's fixed pairwise order, never in a BLAS kernel."""
+    sample = "np.dot(a, b)\na @ b\nnp.linalg.norm(a)\nfrom numpy.linalg import norm\n"
+    assert sorted(_blas_uses(ast.parse(sample))) == [
+        (1, "dot"), (2, "@"), (3, "linalg"), (4, "linalg")]
+    found = [(path.name, *use)
+             for path in sorted(Path(kgconflict.__file__).parent.glob("*.py"))
+             for use in _blas_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

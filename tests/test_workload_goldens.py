@@ -11,7 +11,9 @@ line decodes back to a trace from which ``record_result`` rebuilds its row,
 wall time included. The HTTP workload's records also run through
 ``HttpGateway`` against ``perfbench/loopback_server.py`` serving the same
 script on a thread, so the client's transport and reply parsing must give the
-same bytes as the in-process mock.
+same bytes as the in-process mock. A child process re-runs these goldens and
+the CLI's golden artifacts under the kernels an older x86 CPU would get, so
+the bytes do not depend on the kernels numpy and OpenBLAS select.
 
 A change meant to alter outputs rewrites the golden file with
 ``PYTHONPATH=src python tests/test_workload_goldens.py`` and names each
@@ -22,6 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from dataclasses import asdict
@@ -31,6 +36,7 @@ import pytest
 
 import fixtures
 
+import kgconflict
 from kgconflict import (
     GenerationRequest,
     HttpGateway,
@@ -150,6 +156,29 @@ def test_http_client_outputs_match_golden(http_inputs, tmp_path, mode):
     assert serial == golden
     if mode == "full":
         _assert_p3_matches(http_inputs, mode, golden, serial_calls, tmp_path)
+
+
+# OpenBLAS's SSE3 kernels, and numpy's baseline loops in place of its AVX2 and
+# AVX-512 ones: what a CPU older than this one's would run.
+OTHER_KERNELS = {"OPENBLAS_CORETYPE": "Prescott",
+                 "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def test_goldens_hold_under_other_cpu_kernels():
+    """The golden runs pass in a child process whose numpy and OpenBLAS run
+    other SIMD kernels; the variables are set on that child only."""
+    tests = Path(__file__).parent
+    src = str(Path(kgconflict.__file__).parents[1])
+    env = {**os.environ, **OTHER_KERNELS,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([
+        sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        f"{tests / 'test_workload_goldens.py'}::"
+        "test_workload_outputs_match_golden_at_every_parallelism",
+        f"{tests / 'test_cli.py'}::test_artifacts_match_golden_copies",
+        f"{tests / 'test_cli.py'}::test_every_mode_matches_its_golden_artifacts",
+    ], env=env, cwd=tests.parent, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-1000:]
 
 
 def main() -> None:
