@@ -250,6 +250,9 @@ def _strip_code_fences(text: str) -> str:
     return text.strip()
 
 
+_TEXT_KEYS = ("head_desc", "rel_desc", "tail_desc", "evidence")
+
+
 def _parse_extraction_response(text: str, seg: Segment) -> list[TripleExtraction]:
     try:
         data = json.loads(_strip_code_fences(text))
@@ -261,44 +264,38 @@ def _parse_extraction_response(text: str, seg: Segment) -> list[TripleExtraction
         raise ExtractionParseError(
             f"segment {seg.id}: extraction output is not a JSON array"
         )
+    # Each distinct surface string is stripped and normalized once per reply.
+    names: dict[str, tuple[str, str]] = {}
     out: list[TripleExtraction] = []
     for i, item in enumerate(data):
         if not isinstance(item, dict):
             raise ExtractionParseError(
                 f"segment {seg.id}: triple {i} is not an object"
             )
-        values: dict[str, str] = {}
+        named = []
         for key in ("head", "relation", "tail"):
             value = item.get(key)
-            if not isinstance(value, str) or not value.strip():
-                raise ExtractionParseError(
-                    f"segment {seg.id}: triple {i} has missing or empty {key!r}"
-                )
-            values[key] = value
-        for key in ("head_desc", "rel_desc", "tail_desc", "evidence"):
+            name = names.get(value) if isinstance(value, str) else None
+            if name is None:
+                if not isinstance(value, str) or not value.strip():
+                    raise ExtractionParseError(
+                        f"segment {seg.id}: triple {i} has missing or empty {key!r}"
+                    )
+                name = names[value] = (value.strip(), normalize_name(value))
+            named.append(name)
+        texts = []
+        for key in _TEXT_KEYS:
             value = item.get(key, "")
             if not isinstance(value, str):
                 raise ExtractionParseError(
                     f"segment {seg.id}: triple {i} field {key!r} is not a string"
                 )
-            values[key] = value
-        out.append(
-            TripleExtraction(
-                triple=Triple(
-                    head=normalize_name(values["head"]),
-                    relation=normalize_name(values["relation"]),
-                    tail=normalize_name(values["tail"]),
-                    source_segment=seg.id,
-                    evidence=values["evidence"],
-                ),
-                head_surface=values["head"].strip(),
-                relation_surface=values["relation"].strip(),
-                tail_surface=values["tail"].strip(),
-                head_desc=values["head_desc"],
-                rel_desc=values["rel_desc"],
-                tail_desc=values["tail_desc"],
-            )
-        )
+            texts.append(value)
+        (head, head_id), (relation, relation_id), (tail, tail_id) = named
+        head_desc, rel_desc, tail_desc, evidence = texts
+        # Positional: keyword arguments cost a fifth of the parse.
+        out.append(TripleExtraction(Triple(head_id, relation_id, tail_id, seg.id, evidence),
+                                    head, relation, tail, head_desc, rel_desc, tail_desc))
     return out
 
 

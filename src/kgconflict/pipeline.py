@@ -44,10 +44,9 @@ from .http_gateway import HttpGateway
 from .retrieval import (
     QueryKeyElements,
     ReasoningPath,
+    contending_paths,
     contextualize,
-    enumerate_paths,
     extract_key_elements,
-    score_path,
     select_super_paths,
     top_k_important,
 )
@@ -166,11 +165,8 @@ def retrieve_phase(trace: QueryTrace, graph: KnowledgeGraph, cfg: PipelineConfig
     important, *baseline = gather(calls, cfg.parallelism)
     trace.important_entities = list(important.entities)
     trace.important_relations = list(important.relations)
-    p_init = enumerate_paths(graph, important)
-    trace.p_init_count = len(p_init)
-    for path in p_init:
-        path.score = score_path(path, important, cfg)
-    p_super = select_super_paths(p_init, cfg)
+    trace.p_init_count, contenders = contending_paths(graph, important, cfg)
+    p_super = select_super_paths(contenders, cfg)
     for path in p_super:
         contextualize(path, graph, important)
     trace.p_super = p_super

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+from collections.abc import Container
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,7 +66,7 @@ class ImportantSets:
     relations: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        # Built once: score_path asks for both sets once per enumerated path.
+        # Built once: score_path asks for both sets once per scored path.
         object.__setattr__(self, "_entity_ids", frozenset(e for e, _ in self.entities))
         object.__setattr__(
             self, "_relation_ids", frozenset(r for r, _ in self.relations)
@@ -242,21 +243,32 @@ def top_k_important(
     return ImportantSets(entities=top(entity_named), relations=top(relation_named))
 
 
+# A path's bucket: (its nodes that are important entities, its distinct
+# relations that are important relations, its edge count). ``score_path``
+# reads nothing else, so every path of a bucket has one score.
+Bucket = tuple[int, int, int]
+
+
 def enumerate_paths(
-    graph: KnowledgeGraph, important: ImportantSets
+    graph: KnowledgeGraph,
+    important: ImportantSets,
+    keep: Container[Bucket] | None = None,
 ) -> list[ReasoningPath]:
     """All simple 1- and 2-edge paths starting at each important entity.
 
     Triples are traversed as undirected edges; the actual direction of each
     hop is recorded. Output is globally deduplicated by the exact
-    (nodes, edges) sequence and its order is deterministic.
+    (nodes, edges) sequence and its order is deterministic. With ``keep``,
+    only the paths whose bucket is in it are built, in the same order.
     """
+    entity_ids, relation_ids = important.entity_ids(), important.relation_ids()
     # Adjacency lists hold each (triple, direction) once and self-loops are
     # dropped, so paths from distinct start ids never repeat.
-    hops: dict[str, list[tuple[str, PathEdge]]] = {}
+    hops: dict[str, list[tuple[str, str, int, str]]] = {}
 
-    def _hops(eid: str) -> list[tuple[str, PathEdge]]:
-        """(neighbour, edge) per triple touching ``eid``, built once per call."""
+    def _hops(eid: str) -> list[tuple[str, str, int, str]]:
+        """(neighbour, relation, triple index, direction) per triple touching
+        ``eid``, built once per call."""
         if eid not in hops:
             hops[eid] = []
             for t, d in graph.adjacency.get(eid, ()):
@@ -264,19 +276,68 @@ def enumerate_paths(
                 other = triple.tail if d == "out" else triple.head
                 if other != eid:
                     direction = "forward" if d == "out" else "reverse"
-                    hops[eid].append((other, PathEdge(triple.relation, t, direction)))
+                    hops[eid].append((other, triple.relation, t, direction))
         return hops[eid]
 
     paths: list[ReasoningPath] = []
     for start in dict.fromkeys(eid for eid, _ in important.entities):
-        for mid, edge1 in _hops(start):
-            paths.append(ReasoningPath(nodes=(start, mid), edges=(edge1,)))
-            for end, edge2 in _hops(mid):
-                if end != start:
-                    paths.append(
-                        ReasoningPath(nodes=(start, mid, end), edges=(edge1, edge2))
-                    )
+        for mid, relation1, t1, d1 in _hops(start):
+            entities1 = 1 + (mid in entity_ids)
+            relations1 = int(relation1 in relation_ids)
+            edge1 = None  # built once, for the first path that needs it
+            if keep is None or (entities1, relations1, 1) in keep:
+                edge1 = PathEdge(relation1, t1, d1)
+                paths.append(ReasoningPath(nodes=(start, mid), edges=(edge1,)))
+            for end, relation2, t2, d2 in _hops(mid):
+                if end != start and (keep is None or (
+                        entities1 + (end in entity_ids),
+                        relations1 + (relation2 != relation1 and relation2 in relation_ids),
+                        2) in keep):
+                    edge1 = edge1 or PathEdge(relation1, t1, d1)
+                    paths.append(ReasoningPath(nodes=(start, mid, end),
+                                               edges=(edge1, PathEdge(relation2, t2, d2))))
     return paths
+
+
+class _Tally(dict):
+    """A ``keep`` for ``enumerate_paths`` that counts each bucket's paths and
+    admits only the first path of each, so the paths built line up with the
+    tally's keys."""
+
+    def __contains__(self, bucket: object) -> bool:
+        count = self.get(bucket, 0)
+        self[bucket] = count + 1
+        return count == 0
+
+
+def contending_paths(
+    graph: KnowledgeGraph, important: ImportantSets, cfg: PipelineConfig
+) -> tuple[int, list[ReasoningPath]]:
+    """How many paths ``enumerate_paths`` yields, and the scored ones that
+    ``select_super_paths`` could pick.
+
+    One pass counts the paths per bucket and builds only each bucket's first
+    path, which ``score_path`` scores for the bucket. The ``paths_k``-th
+    (score, length) prefix over all paths is the cut ``select_super_paths``
+    makes; a second pass builds and scores only the paths at or above it.
+    """
+    tally = _Tally()
+    firsts = enumerate_paths(graph, important, tally)
+    if not firsts:
+        return 0, []
+    prefix = {bucket: (-score_path(first, important, cfg), bucket[2])
+              for bucket, first in zip(tally, firsts)}
+    remaining = cfg.paths_k
+    for bucket in sorted(prefix, key=prefix.__getitem__):
+        remaining -= tally[bucket]
+        if remaining <= 0:
+            break
+    cut = prefix[bucket]
+    contenders = enumerate_paths(
+        graph, important, {b for b, at in prefix.items() if at <= cut})
+    for path in contenders:
+        path.score = score_path(path, important, cfg)
+    return sum(tally.values()), contenders
 
 
 def score_path(

@@ -33,7 +33,7 @@ from kgconflict import (
     select_super_paths,
     top_k_important,
 )
-from kgconflict.retrieval import PathEdge, _max_cosines, cosine
+from kgconflict.retrieval import PathEdge, _max_cosines, contending_paths, cosine
 
 CFG = PipelineConfig()
 
@@ -550,6 +550,53 @@ def test_select_matches_sort_oracle_on_random_scores():
         assert [p.key() for p in select_super_paths(paths, cfg)] == [
             p.key() for p in got
         ]
+
+
+_NODES = ["a", "b", "c", "d", "e"]
+_RELATIONS = ["r0", "r1", "r2", "r3"]
+
+
+@st.composite
+def _retrieval_inputs(draw):
+    """A small graph that may repeat an extraction and hold self-loops and
+    parallel edges, important sets (either may be empty; E may name an id
+    twice or one off the graph), and a config whose ``paths_k`` may exceed
+    the path count. With ``tie``, alpha = beta and |E| = |R|, so buckets
+    with different coverage score the same float."""
+    triples = draw(st.lists(st.tuples(st.sampled_from(_NODES), st.sampled_from(_RELATIONS),
+                                      st.sampled_from(_NODES)), max_size=14))
+    starts = draw(st.lists(st.sampled_from(_NODES + ["off-graph"]), max_size=4))
+    tie = draw(st.booleans())
+    weights = st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0])
+    alpha = draw(weights)
+    beta = alpha if tie else draw(weights)
+    if alpha + beta == 0:
+        alpha = beta = 0.5
+    n_relations = len(set(starts)) if tie else draw(st.integers(0, len(_RELATIONS)))
+    relations = draw(st.permutations(_RELATIONS + ["r-off"]))[:n_relations]
+    graph = build_graph(fixtures.make_extraction(h, r, t) for h, r, t in triples)
+    cfg = PipelineConfig(alpha=alpha, beta=beta, paths_k=draw(st.integers(1, 40)))
+    return graph, fixtures.important_from_ids(starts, relations), cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(_retrieval_inputs())
+def test_contending_paths_select_what_scoring_every_path_selects(inputs):
+    """Production's count and selection equal enumerate -> score every path
+    -> select: the same keys, the same scores, in the same order."""
+    graph, important, cfg = inputs
+    every = enumerate_paths(graph, important)
+    for path in every:
+        path.score = score_path(path, important, cfg)
+    expected = select_super_paths(every, cfg)
+
+    count, contenders = contending_paths(graph, important, cfg)
+    got = select_super_paths(contenders, cfg)
+    assert count == len(every)
+    assert [(p.key(), p.score) for p in got] == [(p.key(), p.score) for p in expected]
+    # The contenders keep enumerate_paths' order.
+    kept = {p.key() for p in contenders}
+    assert [p.key() for p in contenders] == [p.key() for p in every if p.key() in kept]
 
 
 # ---------------------------------------------------------------------------
